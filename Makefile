@@ -6,6 +6,10 @@
 #   make test       — full-fidelity suite (slow; shrinks with core count)
 #   make test-short — reduced-scale suite, well under 30 s
 #   make test-race  — race-enabled short suite
+#   make test-race-correlate — correlation engine + store matching under
+#                     the race detector at one and at two Ps, so the
+#                     receiver's concurrent store-match leg runs both
+#                     interleaved and truly in parallel
 #   make bench      — paper-figure benchmarks (root package)
 #   make bench-correlate — naive-vs-FFT correlation engine benchmarks
 #   make bench-decode — naive-vs-polyphase decode hot-path benchmarks
@@ -52,8 +56,11 @@ GO ?= go
 
 # Packages touched by the correlation engine; test-race-correlate runs
 # them twice under the race detector so the reused scratch buffers
-# (Synchronizer/Receiver state, the per-plan-size pools) are exercised
-# across repeated steady-state calls.
+# (Synchronizer/Receiver state, the per-plan-size pools, prepared
+# fresh-reception spectra) are exercised across repeated steady-state
+# calls, each at GOMAXPROCS 1 and 2 (-cpu 1,2) so the receiver's
+# store-match leg runs both time-sliced with and in parallel to the
+# caller's goroutine.
 CORRELATE_PKGS = ./internal/dsp/... ./internal/phy/... ./internal/core/...
 
 # Packages touched by the polyphase decode engine; test-race-decode runs
@@ -139,7 +146,7 @@ test-race: build
 	$(GO) test -short -race ./...
 
 test-race-correlate: build
-	$(GO) test -short -race -count=2 $(CORRELATE_PKGS)
+	$(GO) test -short -race -count=2 -cpu 1,2 $(CORRELATE_PKGS)
 
 test-race-decode: build
 	$(GO) test -short -race -count=2 $(DECODE_PKGS)
@@ -208,8 +215,9 @@ bench-kern-v3:
 	GOAMD64=v3 $(GO) test -bench='BenchmarkFading|BenchmarkMultipath|BenchmarkDrift|BenchmarkInterferer|BenchmarkADC|BenchmarkFullChain' -benchmem -run='^$$' ./internal/impair
 
 # test-race-correlate is not a ci prerequisite: test-race-decode's
-# default-path run covers the same packages (plus channel) with the
-# same flags, so listing both would race-test dsp/phy/core twice.
+# default-path run covers the same packages (plus channel), so listing
+# both would race-test dsp/phy/core twice; the correlate suite's extra
+# -cpu 1,2 sweep runs in the CI race job instead.
 # test-race-impair IS listed: its no-impair leg and the impair/testbed
 # packages are not covered by the decode matrix. test-race-kway is
 # likewise listed for its pairwise-hatch leg and the session/experiments

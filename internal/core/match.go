@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"zigzag/internal/dsp"
 	"zigzag/internal/dsp/fft"
@@ -24,7 +25,7 @@ const MatchWindow = 512
 // chips — every packet shares the preamble and most header fields, which
 // would otherwise correlate *different* packets too.
 func matchScore(cfg Config, a []complex128, startA float64, b []complex128, startB float64) float64 {
-	skip := (cfg.PHY.PreambleBits + modem.SymbolCount(modem.BPSK, frame.HeaderBits)) * cfg.PHY.SamplesPerSymbol
+	skip := matchSkip(cfg)
 	ia, ib := int(startA)+skip, int(startB)+skip
 	if ia < 0 || ib < 0 || ia >= len(a) || ib >= len(b) {
 		return 0
@@ -113,49 +114,70 @@ type LocateResult struct {
 // already removed). Up to max candidates are returned, best first, at
 // least a preamble apart.
 func LocatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int) []LocateResult {
-	var s locateScratch
-	return locatePacket(cfg, stored, storedStart, fresh, max, &s)
+	s := locatePool.Get().(*locateScratch)
+	defer locatePool.Put(s)
+	defer s.reset()
+	return locatePacket(cfg, stored, storedStart, fresh, max, nil, s)
 }
 
+// locatePool backs one-shot LocatePacket calls, so they reach steady
+// state without allocating working storage per call.
+var locatePool = sync.Pool{New: func() any { return new(locateScratch) }}
+
 // locateScratch carries the wide-window matcher's reusable working
-// storage: the correlation engine's transform buffers plus the profile
-// and rolling-energy vectors, which are as long as the fresh reception
-// and would otherwise dominate per-lookup allocation.
+// storage: the correlation engine's transform buffers, the profile and
+// score vectors, and a per-reception cache of the fresh buffers located
+// into. Every stored packet is located inside the same fresh reception,
+// so each cached buffer keeps its overlap-save block spectra
+// (fft.Prepared) and its sliding-window energies across those lookups;
+// only the reference side is new per lookup.
 type locateScratch struct {
 	corr   fft.Scratch
 	prof   []complex128
+	score  []float64
+	fresh  []freshCache
+	nFresh int
+}
+
+// freshCache is one fresh buffer prepared for a window length: its
+// block spectra and its sliding-window energies.
+type freshCache struct {
+	prep   fft.Prepared
 	energy []float64
 }
 
-// locatePacket is LocatePacket with the working storage threaded in;
-// the online Receiver passes its own locateScratch so repeated store
-// lookups allocate nothing in steady state.
-func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int, s *locateScratch) []LocateResult {
-	skip := (cfg.PHY.PreambleBits + modem.SymbolCount(modem.BPSK, frame.HeaderBits)) * cfg.PHY.SamplesPerSymbol
-	is := int(storedStart) + skip
-	if is < 0 || is >= len(stored) {
-		return nil
+// reset empties the fresh-buffer cache, keeping its storage but
+// dropping the references to the cached buffers. Entries are keyed by
+// buffer identity, so a caller must reset whenever a buffer it located
+// into may have changed — the receiver does at the start of every
+// reception.
+func (s *locateScratch) reset() {
+	for i := range s.fresh[:s.nFresh] {
+		s.fresh[i].prep.Prepare(nil, 0)
 	}
-	w := MatchWindow
-	if rest := len(stored) - is; rest < w {
-		w = rest
+	s.nFresh = 0
+}
+
+// prepared returns the cache entry for fresh at window length w,
+// preparing it on first use.
+func (s *locateScratch) prepared(fresh []complex128, w int) *freshCache {
+	for i := range s.fresh[:s.nFresh] {
+		c := &s.fresh[i]
+		if y := c.prep.Signal(); c.prep.RefLen() == w && len(y) == len(fresh) && &y[0] == &fresh[0] {
+			return c
+		}
 	}
-	if w < 128 {
-		return nil
+	if s.nFresh == len(s.fresh) {
+		s.fresh = append(s.fresh, freshCache{})
 	}
-	ref := stored[is : is+w]
-	refE := dsp.Energy(ref)
-	if refE == 0 {
-		return nil
+	c := &s.fresh[s.nFresh]
+	s.nFresh++
+	c.prep.Prepare(fresh, w)
+	if cap(c.energy) < len(fresh)-w+1 {
+		c.energy = make([]float64, len(fresh)-w+1)
 	}
-	s.prof = fft.Correlate(s.prof, fresh, ref, 0, &s.corr)
-	prof := s.prof
-	// Normalize per position by the local window energy.
+	energy := c.energy[:len(fresh)-w+1]
 	var run float64
-	if cap(s.energy) < len(prof) {
-		s.energy = make([]float64, len(prof))
-	}
-	energy := s.energy[:len(prof)]
 	for i := 0; i < len(fresh); i++ {
 		v := fresh[i]
 		run += real(v)*real(v) + imag(v)*imag(v)
@@ -167,21 +189,73 @@ func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []
 			energy[i-w+1] = run
 		}
 	}
-	// Pick peaks greedily, spaced at least a preamble apart, scanning
-	// the normalized scores in place (max is tiny, so re-deriving the
-	// score per pass beats materializing a profile-sized candidate
-	// list).
+	c.energy = energy
+	return c
+}
+
+// matchSkip is the number of samples from a packet's start to its
+// wide-window data region: the preamble and header chips, which every
+// packet shares and which would otherwise correlate different packets.
+func matchSkip(cfg Config) int {
+	return (cfg.PHY.PreambleBits + modem.SymbolCount(modem.BPSK, frame.HeaderBits)) * cfg.PHY.SamplesPerSymbol
+}
+
+// matchRef returns the wide data window of the packet starting at
+// storedStart in a stored reception, or nil when too little of it is
+// left for a reliable match.
+func matchRef(cfg Config, stored []complex128, storedStart float64) []complex128 {
+	is := int(storedStart) + matchSkip(cfg)
+	if is < 0 || is >= len(stored) {
+		return nil
+	}
+	w := MatchWindow
+	if rest := len(stored) - is; rest < w {
+		w = rest
+	}
+	if w < 128 {
+		return nil
+	}
+	return stored[is : is+w]
+}
+
+// locatePacket is LocatePacket with the working storage threaded in;
+// the online Receiver passes its own locateScratch so repeated store
+// lookups allocate nothing in steady state. refSpec, when non-nil, is
+// the window's precomputed fft.RefSpectrum (the receiver keeps one per
+// stored packet); it is used only when its length matches the plan
+// size of this lookup.
+func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []complex128, max int, refSpec []complex128, s *locateScratch) []LocateResult {
+	skip := matchSkip(cfg)
+	ref := matchRef(cfg, stored, storedStart)
+	if ref == nil {
+		return nil
+	}
+	refE := dsp.Energy(ref)
+	if refE == 0 || len(fresh) < len(ref) {
+		return nil
+	}
+	fc := s.prepared(fresh, len(ref))
+	s.prof = fc.prep.Correlate(s.prof, ref, 0, refSpec, &s.corr)
+	prof, energy := s.prof, fc.energy
+	// Normalize per position by the local window energy, once; the
+	// greedy passes below then only compare.
+	if cap(s.score) < len(prof) {
+		s.score = make([]float64, len(prof))
+	}
+	score := s.score[:len(prof)]
+	for i := range prof {
+		if energy[i] > 0 {
+			m := real(prof[i])*real(prof[i]) + imag(prof[i])*imag(prof[i])
+			score[i] = m / (refE * energy[i])
+		}
+	}
+	// Pick peaks greedily, spaced at least a preamble apart.
 	minSp := cfg.PHY.PreambleBits * cfg.PHY.SamplesPerSymbol
 	var out []LocateResult
 	for len(out) < max {
 		best, bi := 0.0, -1
-		for i := range prof {
-			if energy[i] <= 0 {
-				continue
-			}
-			m := real(prof[i])*real(prof[i]) + imag(prof[i])*imag(prof[i])
-			score := m / (refE * energy[i])
-			if score <= best {
+		for i, sc := range score {
+			if energy[i] <= 0 || sc <= best {
 				continue
 			}
 			tooClose := false
@@ -192,7 +266,7 @@ func locatePacket(cfg Config, stored []complex128, storedStart float64, fresh []
 				}
 			}
 			if !tooClose {
-				best, bi = score, i
+				best, bi = sc, i
 			}
 		}
 		if bi < 0 {

@@ -75,7 +75,7 @@ func BenchmarkLocatePacket(b *testing.B) {
 		var s locateScratch
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			locatePacket(cfg, stored, start, fresh, 3, &s)
+			locatePacket(cfg, stored, start, fresh, 3, nil, &s)
 		}
 	})
 }
@@ -86,9 +86,9 @@ func BenchmarkLocatePacket(b *testing.B) {
 func TestLocatePacketSteadyStateAllocs(t *testing.T) {
 	cfg, stored, start, fresh, _ := syntheticLocateScenario(62, 1<<14)
 	var s locateScratch
-	locatePacket(cfg, stored, start, fresh, 3, &s)
+	locatePacket(cfg, stored, start, fresh, 3, nil, &s)
 	if allocs := testing.AllocsPerRun(10, func() {
-		locatePacket(cfg, stored, start, fresh, 3, &s)
+		locatePacket(cfg, stored, start, fresh, 3, nil, &s)
 	}); allocs > 3 {
 		t.Errorf("steady-state locatePacket allocates %v times per run, want ≤3 (result-slice growth only)", allocs)
 	}

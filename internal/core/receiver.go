@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"zigzag/internal/dsp"
+	"zigzag/internal/dsp/fft"
 	"zigzag/internal/frame"
 	"zigzag/internal/modem"
 	"zigzag/internal/obs"
@@ -43,6 +44,13 @@ type Event struct {
 // matches them against stored collisions, and jointly decodes matching
 // pairs. In the absence of collisions it behaves exactly like a current
 // 802.11 receiver.
+//
+// A Receiver is used from one goroutine at a time. Internally, each
+// reception that could match a stored collision runs one helper
+// goroutine — the store-match leg (matchleg.go) — beside detection and
+// the single-reception decode; it is joined before Receive or PollOne
+// returns, and its results are consumed in a fixed order, so decoded
+// bits and the event stream never depend on scheduling.
 type Receiver struct {
 	cfg     Config
 	phy     *phy.Receiver
@@ -50,15 +58,19 @@ type Receiver struct {
 	clients map[uint8]Client
 
 	// loc is the wide-window store matcher's working storage
-	// (LocatePacket: transform buffers, profile, rolling energy); the
-	// preamble detector's scratch lives inside sync, det holds the
-	// collision detector's clustering/assignment arenas, and dec is the
-	// joint-decoder session threaded through every Decode this receiver
-	// runs. Receivers are single-goroutine, so the buffers are reused
-	// across receptions without locking.
+	// (LocatePacket: transform buffers, profile, the per-reception cache
+	// of prepared fresh buffers); the preamble detector's scratch lives
+	// inside sync, det holds the collision detector's
+	// clustering/assignment arenas, and dec is the joint-decoder session
+	// threaded through every Decode this receiver runs on the caller's
+	// goroutine. leg is the store-match helper (matchleg.go): it owns a
+	// second decode session and borrows loc while it runs. The helper is
+	// always joined before Receive/PollOne return, so the buffers are
+	// reused across receptions without locking.
 	loc locateScratch
 	det detectScratch
 	dec Scratch
+	leg matchLeg
 
 	// MaxStored bounds the unmatched-collision store; 802.11
 	// retransmissions arrive promptly, so a few suffice (§4.2.2).
@@ -114,8 +126,8 @@ type Receiver struct {
 	recSeq   int
 	ampStamp [256]int
 
-	// Receiver-owned scratch for the per-reception hot path (receivers
-	// are single-goroutine): metaFor's metadata slice, the
+	// Receiver-owned scratch for the caller's goroutine on the
+	// per-reception hot path: metaFor's metadata slice, the
 	// single-reception decode Receptions (ping-ponged, because a
 	// rejected redetect round must not clobber the kept reception), the
 	// redetect working sets, and the delivered event list. Returned
@@ -184,6 +196,11 @@ type storedCollision struct {
 	clients []uint8      // per occurrence
 	buf     []complex128 // receiver-owned backing of rec.Samples
 	occs    []Occurrence // receiver-owned backing of rec.Packets
+	// refs[i] is packet i's wide-window reference spectrum
+	// (fft.RefSpectrum) for a fresh reception as long as this one, empty
+	// when that lookup takes the naive kernel. Computed when the
+	// collision is stored, dropped when the entry is recycled.
+	refs [][]complex128
 }
 
 // NewReceiver builds an online ZigZag receiver.
@@ -205,6 +222,7 @@ func (z *Receiver) Reinit(cfg Config, clients []Client) {
 	if z.phy == nil || z.cfg.PHY != cfg.PHY {
 		z.phy = phy.NewReceiver(cfg.PHY)
 		z.sync = phy.NewSynchronizer(cfg.PHY)
+		z.leg.sync = phy.NewSynchronizer(cfg.PHY)
 	}
 	z.cfg = cfg
 	if z.clients == nil {
@@ -219,6 +237,7 @@ func (z *Receiver) Reinit(cfg Config, clients []Client) {
 	z.SkipStoreMatch = false
 	z.resetStream()
 	for i := range z.stored {
+		z.stored[i].refs = z.stored[i].refs[:0]
 		z.stFree = append(z.stFree, z.stored[i])
 		z.stored[i] = nil
 	}
@@ -440,12 +459,18 @@ func (z *Receiver) detectClient(rx []complex128, c Client) []phy.Sync {
 // receiver-owned scratch; the returned slice is valid until the next
 // call on this receiver.
 func (z *Receiver) metaFor(clients []uint8) []PacketMeta {
-	z.metas = z.metas[:0]
+	z.metas = z.metasInto(z.metas, clients)
+	return z.metas
+}
+
+// metasInto builds the decode metadata for a set of clients into dst.
+func (z *Receiver) metasInto(dst []PacketMeta, clients []uint8) []PacketMeta {
+	dst = dst[:0]
 	for _, id := range clients {
 		c := z.clients[id]
-		z.metas = append(z.metas, PacketMeta{Scheme: c.Scheme, Freq: c.Freq})
+		dst = append(dst, PacketMeta{Scheme: c.Scheme, Freq: c.Freq})
 	}
-	return z.metas
+	return dst
 }
 
 // Receive processes one reception buffer and returns the decoded
@@ -463,13 +488,22 @@ func (z *Receiver) Receive(rx []complex128) []Event {
 }
 
 // receiveBuf is the shared per-reception pipeline behind both Receive
-// and PollOne: detect, then the collision cascade.
+// and PollOne: detect, then the collision cascade. When stored
+// collisions could match, the store-match leg starts first and runs
+// beside detection and the single-reception cascade; it is always
+// joined before receiveBuf returns.
 func (z *Receiver) receiveBuf(rx []complex128) []Event {
 	z.recSeq++
 	// The decode session inherits the typed sink so the SIC scheduler
 	// and peeler report their per-chunk decisions under this reception's
 	// sequence number.
 	z.dec.Obs, z.dec.ObsRec = z.Obs, int64(z.recSeq)
+	z.loc.reset()
+	z.leg.entries = z.leg.entries[:0] // no leg, no results to consume
+	if len(z.stored) > 0 && !z.SkipStoreMatch {
+		z.startLeg(rx)
+		defer z.joinLeg(true)
+	}
 	occs, clients := z.detect(rx)
 	if len(occs) == 0 {
 		return nil
@@ -533,6 +567,9 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 		if len(occs) == 1 {
 			via = ViaStandard
 		}
+		// deliver learns into the client table the leg reads, so the
+		// leg's now-unneeded work stops first.
+		z.joinLeg(true)
 		return z.deliver(res, clients, via, rec)
 	}
 
@@ -540,16 +577,22 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 		// Search the store for a matching collision (§4.2.2): locate each
 		// stored packet inside the fresh reception by wide-window
 		// correlation — far more robust than re-detecting buried preambles —
-		// and jointly decode the pair.
-		for si, st := range z.stored {
-			joint, ok := z.alignStored(st, rx)
-			if !ok {
+		// and jointly decode the pair. The leg already ran both stages in
+		// store order; its results and buffered events are taken here in
+		// that order, exactly where a sequential loop would produce them.
+		z.joinLeg(false)
+		evLo := 0
+		for si := range z.leg.entries {
+			e := &z.leg.entries[si]
+			z.replayLeg(evLo, e.evHi)
+			evLo = e.evHi
+			if !e.aligned {
 				if z.obsOn() {
 					z.emit(obs.Event{Kind: obs.KindStoreAlignFail, A: int64(si)})
 				}
 				continue
 			}
-			jres, err := DecodeWith(&z.dec, z.cfg, z.metaFor(st.clients), []*Reception{st.rec, joint})
+			st, jres, err := z.stored[si], e.jres, e.err
 			if err == nil && jres.AllOK() {
 				z.dropStored(si)
 				if z.obsOn() {
@@ -689,7 +732,7 @@ func (z *Receiver) tryKWayStore(rx []complex128, rec *Reception, clients []uint8
 				ok := true
 				var freshRec *Reception = canon // stands when the fresh reception is canonical
 				for _, ob := range others {
-					aligned, okA := z.alignStored(cnView, ob.Samples)
+					aligned, okA := z.alignStored(cnView, ob.Samples, nil)
 					if !okA {
 						ok = false
 						break
@@ -766,7 +809,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	}
 	for _, ob := range others {
 		for _, oc := range ob.Packets {
-			ls := locatePacket(z.cfg, ob.Samples, oc.Sync.Start, cn.rec.Samples, 1, &z.loc)
+			ls := locatePacket(z.cfg, ob.Samples, oc.Sync.Start, cn.rec.Samples, 1, nil, &z.loc)
 			if len(ls) == 0 || ls[0].Score < z.cfg.matchThreshold() {
 				continue
 			}
@@ -777,7 +820,7 @@ func (z *Receiver) kwayCandidates(cn *storedCollision, others []*Reception) []kw
 	}
 	for i := range cands {
 		for _, ob := range others {
-			ls := locatePacket(z.cfg, cn.rec.Samples, cands[i].sync.Start, ob.Samples, 1, &z.loc)
+			ls := locatePacket(z.cfg, cn.rec.Samples, cands[i].sync.Start, ob.Samples, 1, nil, &z.loc)
 			if len(ls) > 0 && ls[0].Score >= z.cfg.matchThreshold() {
 				cands[i].evidence += ls[0].Score
 			}
@@ -1154,6 +1197,18 @@ func (z *Receiver) store(rec *Reception, clients []uint8) {
 	st.occs = append(st.occs[:0], rec.Packets...)
 	st.clients = append(st.clients[:0], clients...)
 	st.rec.Samples, st.rec.Packets = st.buf, st.occs
+	if cap(st.refs) < len(st.occs) {
+		st.refs = append(st.refs[:cap(st.refs)], make([][]complex128, len(st.occs)-cap(st.refs))...)
+	}
+	st.refs = st.refs[:len(st.occs)]
+	for i := range st.occs {
+		st.refs[i] = st.refs[i][:0]
+		if ref := matchRef(z.cfg, st.buf, st.occs[i].Sync.Start); ref != nil {
+			if n := fft.PlanSize(len(ref), len(st.buf)); n > 0 {
+				st.refs[i] = fft.RefSpectrum(st.refs[i], ref, 0, n, &z.loc.corr)
+			}
+		}
+	}
 	z.stored = append(z.stored, st)
 	for len(z.stored) > max {
 		z.dropStored(0)
@@ -1162,6 +1217,7 @@ func (z *Receiver) store(rec *Reception, clients []uint8) {
 
 // dropStored removes stored entry i, recycling the whole entry.
 func (z *Receiver) dropStored(i int) {
+	z.stored[i].refs = z.stored[i].refs[:0]
 	z.stFree = append(z.stFree, z.stored[i])
 	z.stored = append(z.stored[:i], z.stored[i+1:]...)
 	z.stored[:cap(z.stored)][len(z.stored)] = nil // drop the tail reference
@@ -1175,8 +1231,16 @@ func (z *Receiver) dropStored(i int) {
 // amplitude, a cross-alignment does not. All packets must be found above
 // the match threshold at mutually distinct positions; otherwise the
 // receptions do not match.
-func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception, bool) {
+//
+// l is nil on the caller's goroutine; the store-match leg passes
+// itself, which routes the preamble measurements to its own
+// Synchronizer and buffers the events for replay.
+func (z *Receiver) alignStored(st *storedCollision, rx []complex128, l *matchLeg) (*Reception, bool) {
 	preLen := z.cfg.PHY.PreambleBits * z.cfg.PHY.SamplesPerSymbol
+	sy := z.sync
+	if l != nil {
+		sy = l.sync
+	}
 	joint := &Reception{Samples: rx}
 	var positions []int
 	// With k ≥ 3 overlapping packets the window yields up to k-1
@@ -1188,7 +1252,11 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 	}
 	for i, oc := range st.rec.Packets {
 		client := z.clients[st.clients[i]]
-		cands := locatePacket(z.cfg, st.rec.Samples, oc.Sync.Start, rx, maxCands, &z.loc)
+		var refSpec []complex128
+		if i < len(st.refs) {
+			refSpec = st.refs[i]
+		}
+		cands := locatePacket(z.cfg, st.rec.Samples, oc.Sync.Start, rx, maxCands, refSpec, &z.loc)
 		var chosen *phy.Sync
 		for _, c := range cands {
 			if c.Score < z.cfg.matchThreshold() {
@@ -1224,7 +1292,7 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 			if clash {
 				continue
 			}
-			sync, ok := z.sync.Measure(rx, c.Pos, 3, client.Freq)
+			sync, ok := sy.Measure(rx, c.Pos, 3, client.Freq)
 			if !ok {
 				continue
 			}
@@ -1243,7 +1311,12 @@ func (z *Receiver) alignStored(st *storedCollision, rx []complex128) (*Reception
 		if chosen == nil {
 			if z.obsOn() {
 				for _, c := range cands {
-					z.emit(obs.Event{Kind: obs.KindAlignCand, A: int64(i), B: int64(c.Pos), F0: c.Score, F1: z.cfg.matchThreshold()})
+					ev := obs.Event{Kind: obs.KindAlignCand, A: int64(i), B: int64(c.Pos), F0: c.Score, F1: z.cfg.matchThreshold()}
+					if l != nil {
+						l.evs = append(l.evs, legEvent{ev: ev})
+					} else {
+						z.emit(ev)
+					}
 				}
 			}
 			return nil, false

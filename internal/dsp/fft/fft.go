@@ -16,6 +16,14 @@
 // Correlate dispatches between this engine and the naive kernel by a
 // size heuristic; see its documentation and SetForceNaive for the
 // debugging escape hatch.
+//
+// When one signal is correlated against many references — the store
+// matcher locates every stored packet inside the same fresh reception —
+// a Prepared signal keeps its overlap-save block spectra, and
+// RefSpectrum precomputes a reference's side, so each further pair
+// costs one product and one inverse transform per block. Prepared runs
+// the same engine as Correlate, so its profiles are bit-identical,
+// kernel dispatch included.
 package fft
 
 import (
@@ -169,30 +177,31 @@ func (p *Plan) forwardScrambled(x []complex128) {
 }
 
 // inverseScrambledProduct computes the inverse transform of the
-// elementwise product x ⊙ spec, where both are scrambled-order spectra
-// from forwardScrambled, writing natural-order samples into x. The
-// product is fused into the first butterfly sweep, and the 1/n scaling
-// is NOT applied — the correlator folds it into spec once per call.
-func (p *Plan) inverseScrambledProduct(x, spec []complex128) {
+// elementwise product src ⊙ spec, where both are scrambled-order
+// spectra from forwardScrambled, writing natural-order samples into
+// dst (dst may alias src). The product is fused into the first
+// butterfly sweep, and the 1/n scaling is NOT applied — the correlator
+// folds it into spec once per reference.
+func (p *Plan) inverseScrambledProduct(dst, src, spec []complex128) {
 	n := p.n
 	first := len(p.r4I) - 1
 	if p.fuse8 {
-		inv8Mul(x, spec) // product + size-2 + size-8 in one sweep
+		inv8Mul(dst, src, spec) // product + size-2 + size-8 in one sweep
 		first--
 	} else {
 		switch n >> (2 * len(p.r4I)) {
 		case 4:
-			inv4Mul(x, spec)
+			inv4Mul(dst, src, spec)
 		case 2:
-			inv2Mul(x, spec)
+			inv2Mul(dst, src, spec)
 		case 1:
 			if n == 1 {
-				x[0] *= spec[0]
+				dst[0] = src[0] * spec[0]
 			}
 		}
 	}
 	for si := first; si >= 0; si-- {
-		invStage4(x, n, n>>(2*si), p.r4I[si])
+		invStage4(dst, n, n>>(2*si), p.r4I[si])
 	}
 }
 
@@ -336,13 +345,14 @@ func fwd2(x []complex128) {
 }
 
 // inv4Mul is the first inverse stage on contiguous 4-blocks with the
-// elementwise spectrum product fused in.
-func inv4Mul(x, spec []complex128) {
+// elementwise spectrum product src ⊙ spec fused in, written to x.
+func inv4Mul(x, src, spec []complex128) {
+	src = src[:len(x)]
 	for i := 0; i+3 < len(x) && i+3 < len(spec); i += 4 {
-		t0 := x[i] * spec[i]
-		t1 := x[i+1] * spec[i+1]
-		t2 := x[i+2] * spec[i+2]
-		t3 := x[i+3] * spec[i+3]
+		t0 := src[i] * spec[i]
+		t1 := src[i+1] * spec[i+1]
+		t2 := src[i+2] * spec[i+2]
+		t3 := src[i+3] * spec[i+3]
 		v0, v1 := t0+t2, t1+t3
 		v2 := t0 - t2
 		d := t1 - t3
@@ -352,10 +362,11 @@ func inv4Mul(x, spec []complex128) {
 }
 
 // inv2Mul is the first inverse stage on pairs with the spectrum product
-// fused in.
-func inv2Mul(x, spec []complex128) {
+// src ⊙ spec fused in, written to x.
+func inv2Mul(x, src, spec []complex128) {
+	src = src[:len(x)]
 	for i := 0; i+1 < len(x) && i+1 < len(spec); i += 2 {
-		a, b := x[i]*spec[i], x[i+1]*spec[i+1]
+		a, b := src[i]*spec[i], src[i+1]*spec[i+1]
 		x[i], x[i+1] = a+b, a-b
 	}
 }
@@ -395,14 +406,15 @@ func fwd8(x []complex128) {
 }
 
 // inv8Mul is the inverse counterpart of fwd8 with the spectrum product
-// fused in: product, size-2 stage, and the size-8 stage (conjugated ω₈
-// twiddles) in one sweep per 8-block.
-func inv8Mul(x, spec []complex128) {
+// fused in: product src ⊙ spec, size-2 stage, and the size-8 stage
+// (conjugated ω₈ twiddles) in one sweep per 8-block, written to x.
+func inv8Mul(x, src, spec []complex128) {
+	src = src[:len(x)]
 	for i := 0; i+7 < len(x) && i+7 < len(spec); i += 8 {
-		p0, p1 := x[i]*spec[i], x[i+1]*spec[i+1]
-		p2, p3 := x[i+2]*spec[i+2], x[i+3]*spec[i+3]
-		p4, p5 := x[i+4]*spec[i+4], x[i+5]*spec[i+5]
-		p6, p7 := x[i+6]*spec[i+6], x[i+7]*spec[i+7]
+		p0, p1 := src[i]*spec[i], src[i+1]*spec[i+1]
+		p2, p3 := src[i+2]*spec[i+2], src[i+3]*spec[i+3]
+		p4, p5 := src[i+4]*spec[i+4], src[i+5]*spec[i+5]
+		p6, p7 := src[i+6]*spec[i+6], src[i+7]*spec[i+7]
 		s0, t0 := p0+p1, p0-p1
 		s1, t1 := p2+p3, p2-p3
 		s2, t2 := p4+p5, p4-p5

@@ -92,7 +92,7 @@ func TestScrambledPairRoundTrip(t *testing.T) {
 			unit[i] = complex(1/float64(n), 0)
 		}
 		p.forwardScrambled(y)
-		p.inverseScrambledProduct(y, unit)
+		p.inverseScrambledProduct(y, y, unit)
 		if d := maxAbsDiff(x, y); d > 1e-11*vecScale(x) {
 			t.Errorf("n=%d: scrambled round-trip error %g", n, d)
 		}

@@ -278,6 +278,9 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	if n1 > len(residual) {
 		n1 = len(residual)
 	}
+	if n1 <= n0 {
+		return ErrEmptyFit
+	}
 	w := m.alignedWave(chips, n0, n1)
 	// Derotate the residual by the ramp so the fit is time-invariant.
 	m.yBuf = dsp.Ensure(m.yBuf, n1-n0)

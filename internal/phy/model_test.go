@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -54,6 +55,26 @@ func TestModelerShapeNormalized(t *testing.T) {
 		want := truth.Taps[truth.Center+l]
 		if cmplx.Abs(got-want) > 0.08 {
 			t.Fatalf("shape tap %d = %v, want ≈%v", l, got, want)
+		}
+	}
+}
+
+// TestFitISIRangeOutsideResidual pins the fix for a decode panic: a
+// chunk range lying wholly past the end of the residual (or before its
+// start) clamps to an empty or inverted sample range, which used to
+// reach the resampler as a negative length. The fit must report
+// ErrEmptyFit and leave the modeler unfitted instead.
+func TestFitISIRangeOutsideResidual(t *testing.T) {
+	link := &channel.Params{Gain: cmplx.Rect(0.9, 1.2), ISI: channel.TypicalISI(1)}
+	cfg, rx, wave, s := modelerScenario(t, link, 1e-4, 41)
+	past := len(rx) + 100 // chips (at the sample rate) beyond the last sample
+	for _, r := range [][2]int{{past, past + 200}, {-400, -300}} {
+		m := NewModeler(cfg, s)
+		if err := m.FitISI(rx, wave, r[0], r[1]); !errors.Is(err, ErrEmptyFit) {
+			t.Errorf("FitISI(chips %d..%d) = %v, want ErrEmptyFit", r[0], r[1], err)
+		}
+		if _, ok := m.Shape(); ok {
+			t.Errorf("chips %d..%d: shape available after a failed fit", r[0], r[1])
 		}
 	}
 }

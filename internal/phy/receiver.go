@@ -14,6 +14,9 @@ var (
 	ErrNoSync = errors.New("phy: no preamble detected")
 	// ErrTruncated means the buffer ends before the announced frame does.
 	ErrTruncated = errors.New("phy: buffer shorter than announced frame")
+	// ErrEmptyFit means an ISI fit's chunk range holds no samples of
+	// the residual (it lies wholly past either end of the buffer).
+	ErrEmptyFit = errors.New("phy: ISI fit range outside the residual")
 )
 
 // DecodeResult carries everything a decode attempt produced, whether or

@@ -49,7 +49,9 @@ func (s Sync) Theta(n float64) float64 {
 // with the working buffers owned by the Synchronizer and reused across
 // calls so steady-state detection allocates nothing per buffer. A
 // Synchronizer must therefore not be shared by concurrent goroutines;
-// the Monte-Carlo harnesses construct one per trial.
+// the Monte-Carlo harnesses construct one per trial, and the online
+// receiver gives its concurrent store-match leg a Synchronizer of its
+// own.
 type Synchronizer struct {
 	cfg     Config
 	wave    []complex128 // preamble chip waveform
