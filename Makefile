@@ -6,6 +6,10 @@
 #   make test       — full-fidelity suite (slow; shrinks with core count)
 #   make test-short — reduced-scale suite, well under 30 s
 #   make test-race  — race-enabled short suite
+#   make test-purego — dsp, phy and core built with the purego tag, so
+#                     the portable Go fallbacks of the SSE2 kernels
+#                     (kern's, and the FFT butterflies) run everywhere
+#                     the assembly normally would
 #   make test-race-correlate — correlation engine + store matching under
 #                     the race detector at one and at two Ps, so the
 #                     receiver's concurrent store-match leg runs both
@@ -45,8 +49,9 @@
 #   make ci         — what a pipeline should run: vet + race suites
 #
 # The GitHub Actions pipeline (.github/workflows/ci.yml) runs `make ci`
-# and `make test-short` on two Go versions, the race suites and lint as
-# separate jobs, and `make bench-check` as a non-blocking perf canary.
+# and `make test-short` on two Go versions, the race suites, the purego
+# suite and lint as separate jobs, and `make bench-check` as a
+# non-blocking perf canary.
 # The experiment suites fan Monte-Carlo trials out across all cores via
 # internal/runner; per-trial seed derivation keeps every figure
 # bit-identical at any worker count, so parallelism is purely a
@@ -119,7 +124,7 @@ OBS_PKGS = ./internal/obs/... ./internal/core/... ./internal/phy/... ./internal/
 # steady-state calls on each path.
 KERN_PKGS = ./internal/dsp/... ./internal/impair/... ./internal/channel/... ./internal/phy/... ./internal/core/...
 
-.PHONY: all build vet lint test test-short test-race test-race-correlate test-race-decode test-race-impair test-race-kway test-race-campaign test-race-kern test-race-serve test-race-obs bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
+.PHONY: all build vet lint test test-short test-purego test-race test-race-correlate test-race-decode test-race-impair test-race-kway test-race-campaign test-race-kern test-race-serve test-race-obs bench bench-correlate bench-decode bench-impair bench-check bench-kway bench-campaign bench-kern bench-kern-v3 bench-serve bench-obs ci
 
 all: build
 
@@ -141,6 +146,13 @@ test: build
 
 test-short: build
 	$(GO) test -short ./...
+
+# Packages whose amd64 assembly (internal/dsp/kern, internal/dsp/fft)
+# has a purego fallback; test-purego runs them on the fallbacks.
+PUREGO_PKGS = ./internal/dsp/... ./internal/phy/... ./internal/core/...
+
+test-purego:
+	$(GO) test -tags purego $(PUREGO_PKGS)
 
 test-race: build
 	$(GO) test -short -race ./...

@@ -300,6 +300,10 @@ type detectScratch struct {
 // magnitude, each used at most once (a client transmits at most one
 // packet per reception window).
 //
+// The buffer is transformed once for the whole pass and correlated
+// against each client's cached preamble spectrum (see
+// phy.Synchronizer.Prepare), bit-identical to one detection per client.
+//
 // The returned slices are views into the receiver's detect scratch,
 // valid until the next detect on this receiver; paths that retain them
 // (the collision store, the redetect extension) copy first.
@@ -307,8 +311,9 @@ func (z *Receiver) detect(rx []complex128) ([]Occurrence, []uint8) {
 	d := &z.det
 	preLen := z.cfg.PHY.PreambleBits * z.cfg.PHY.SamplesPerSymbol
 	d.hits = d.hits[:0]
+	z.sync.Prepare(rx)
 	for id, c := range z.clients {
-		for _, s := range z.detectClient(rx, c) {
+		for _, s := range z.detectClient(c) {
 			d.hits = append(d.hits, detHit{s, id})
 		}
 	}
@@ -425,7 +430,8 @@ func (z *Receiver) ampAging(id uint8) float64 {
 	return math.Pow(ampDecayRate, float64(age-ampFreshFor))
 }
 
-// detectClient runs thresholded preamble detection for one client. The
+// detectClient runs thresholded preamble detection for one client on
+// the buffer of the current detection pass (z.sync.Prepare). The
 // channel is quasi-static, so the AP's coarse amplitude estimate bounds
 // plausible peaks from both sides: below β·|Ĥ|·E as in §5.3a, and above
 // ~2.5× the expected peak — a spike several times stronger than the
@@ -433,18 +439,18 @@ func (z *Receiver) ampAging(id uint8) float64 {
 // stronger sender, not this client's preamble. Both bounds widen with
 // the estimate's age (ampAging), decaying toward the unknown-channel
 // behaviour as the quasi-static assumption expires.
-func (z *Receiver) detectClient(rx []complex128, c Client) []phy.Sync {
+func (z *Receiver) detectClient(c Client) []phy.Sync {
 	g := z.ampAging(c.ID)
 	if c.Amp == 0 || math.IsInf(g, 1) {
 		// Unknown (or fully stale) channel: permissive threshold, no
 		// upper bound.
-		return z.sync.DetectFor(rx, c.Freq, z.cfg.detectBeta(), 0.2)
+		return z.sync.DetectPrepared(c.Freq, z.cfg.detectBeta(), 0.2)
 	}
 	refAmp := c.Amp / g
 	if floor := math.Min(c.Amp, 0.2); refAmp < floor {
 		refAmp = floor
 	}
-	syncs := z.sync.DetectFor(rx, c.Freq, z.cfg.detectBeta(), refAmp)
+	syncs := z.sync.DetectPrepared(c.Freq, z.cfg.detectBeta(), refAmp)
 	maxMag := 2.5 * c.Amp * g * z.sync.PreambleEnergy()
 	out := syncs[:0]
 	for _, s := range syncs {
@@ -1052,13 +1058,16 @@ func (z *Receiver) redetect(residual []complex128, occs []Occurrence, clients []
 	outOccs := append(z.rdOccs[:0], occs...)
 	outClients := append(z.rdClients[:0], clients...)
 	changed := false
+	// One detection pass over the residual; a client already decoded
+	// never correlates, so an all-decoded pass transforms nothing.
+	z.sync.Prepare(residual)
 	for id, c := range z.clients {
 		idx, has := occIdx[id], hasOcc[id]
 		if has && idx < len(res.Packets) && res.Packets[idx].OK() {
 			continue // already decoded; leave it alone
 		}
 		var best *phy.Sync
-		for _, s := range z.detectClient(residual, c) {
+		for _, s := range z.detectClient(c) {
 			s := s
 			// When relocating, the old position is excluded: it already
 			// failed to decode, so whatever spikes there is not this

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"zigzag/internal/frame"
 	"zigzag/internal/modem"
+	"zigzag/internal/phy"
 )
 
 func onlineClients(s *scenario) []Client {
@@ -216,6 +220,56 @@ func TestDetectAllocFree(t *testing.T) {
 	op() // warm up the scratch
 	if n := testing.AllocsPerRun(50, op); n != 0 {
 		t.Errorf("detect: %v allocs per run in steady state, want 0", n)
+	}
+}
+
+// TestSharedDetectMatchesPerClient pins the shared-spectrum detection
+// pass: detect's hits — one prepared transform of the reception and
+// each client's cached preamble spectrum — equal the hits of detecting
+// every client independently on a fresh Synchronizer, across
+// receptions, amplitude aging, and UpdateClient calls that change a
+// client's Freq (and with it the cached spectrum) or add a client.
+func TestSharedDetectMatchesPerClient(t *testing.T) {
+	const noise = 0.05
+	s := newScenario(t, 35, 180, []float64{14, 12}, []float64{0.004, -0.003}, noise)
+	rng := rand.New(rand.NewSource(36))
+	z := NewReceiver(s.cfg, onlineClients(s))
+	for round := 0; round < 8; round++ {
+		switch round {
+		case 3: // a refreshed frequency estimate
+			c := z.clients[1]
+			c.Freq += 0.0005
+			z.UpdateClient(c)
+		case 5: // a new client, amplitude unknown
+			z.UpdateClient(Client{ID: 7, Scheme: modem.BPSK, Freq: -0.001})
+		}
+		z.recSeq++ // age the amplitude estimates as receptions do
+		rx := s.render(t, rng, noise, []int{40 + 10*round, 40 + 10*round + 300 + 90*round})
+		z.detect(rx)
+		got := append([]detHit(nil), z.det.hits...)
+
+		shared := z.sync
+		var want []detHit
+		for id, c := range z.clients {
+			z.sync = phy.NewSynchronizer(s.cfg.PHY)
+			z.sync.Prepare(rx)
+			for _, sy := range z.detectClient(c) {
+				want = append(want, detHit{sy, id})
+			}
+		}
+		z.sync = shared
+		slices.SortFunc(want, func(a, b detHit) int {
+			if c := cmp.Compare(a.sync.RefPos, b.sync.RefPos); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.client, b.client)
+		})
+		if len(want) == 0 {
+			t.Fatalf("round %d: nothing detected", round)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: shared hits %+v, per-client %+v", round, got, want)
+		}
 	}
 }
 

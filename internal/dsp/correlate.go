@@ -185,25 +185,42 @@ func (pd PeakDetector) Find(profile []complex128, refEnergy float64) []Peak {
 // spacing conflicts against the immediately preceding survivor only, so
 // a chain of close-by candidates with rising magnitudes displaced one
 // another in place and legitimately spaced earlier peaks were lost.
+//
+// A sample whose magnitude is not finite (a NaN or ±Inf component, or
+// an overflowing |Γ|) is never a peak and counts as magnitude 0 for its
+// neighbours' local-maximum test and parabolic refinement, so the peaks
+// of a profile with non-finite runs are exactly those of the same
+// profile with the runs zeroed.
+//
+// Most samples of a detection profile sit far below the threshold, so
+// the scan first compares the squared magnitude re²+im² against thr²
+// with a 1e-9 relative margin — far wider than the few-ulp difference
+// between that sum and cmplx.Abs — and computes the exact magnitude
+// only for samples the gate cannot rule out. Every threshold decision,
+// and so every peak, is the one the exact magnitude gives.
 func (pd PeakDetector) FindInto(dst []Peak, profile []complex128, refEnergy float64) []Peak {
 	thr := pd.Threshold(refEnergy)
 	minSp := pd.MinSpacing
 	if minSp <= 0 {
 		minSp = 1
 	}
+	gate := peakGate(thr)
 	cands := dst[:0]
-	for i := range profile {
-		m := cmplx.Abs(profile[i])
-		if m <= thr {
+	for i, v := range profile {
+		if re, im := real(v), imag(v); re*re+im*im < gate {
 			continue
 		}
-		if i > 0 && cmplx.Abs(profile[i-1]) > m {
+		m := cmplx.Abs(v)
+		if m <= thr || math.IsInf(m, 0) || math.IsNaN(m) {
 			continue
 		}
-		if i < len(profile)-1 && cmplx.Abs(profile[i+1]) >= m {
+		if i > 0 && finiteAbs(profile[i-1]) > m {
 			continue
 		}
-		cands = append(cands, Peak{Pos: i, Mag: m, Value: profile[i], Frac: parabolicPeak(profile, i)})
+		if i < len(profile)-1 && finiteAbs(profile[i+1]) >= m {
+			continue
+		}
+		cands = append(cands, Peak{Pos: i, Mag: m, Value: v, Frac: parabolicPeak(profile, i)})
 	}
 	if len(cands) <= 1 {
 		return cands
@@ -239,17 +256,44 @@ func (pd PeakDetector) FindInto(dst []Peak, profile []complex128, refEnergy floa
 	return keep
 }
 
+// peakGate returns the squared-magnitude level below which FindInto
+// skips a sample without computing its exact magnitude: thr²·(1−1e-9).
+// It returns −1, which no squared magnitude is below, whenever the
+// margin argument does not hold — thr ≤ 0, NaN or +Inf, or thr² outside
+// the normal float64 range (where squaring underflows or overflows) —
+// so those thresholds take the exact path for every sample. A sample
+// whose re²+im² overflows or is NaN fails the gate and takes the exact
+// path too.
+func peakGate(thr float64) float64 {
+	thr2 := thr * thr
+	if !(thr > 0) || thr2 < 0x1p-1022 || thr2 > math.MaxFloat64 {
+		return -1
+	}
+	return thr2 * (1 - 1e-9)
+}
+
+// finiteAbs is |v|, or 0 when that magnitude is not finite.
+func finiteAbs(v complex128) float64 {
+	m := cmplx.Abs(v)
+	if math.IsInf(m, 0) || math.IsNaN(m) {
+		return 0
+	}
+	return m
+}
+
 // parabolicPeak refines a local maximum of |profile| at index i by fitting
 // a parabola through the three magnitudes around it. The returned offset
 // is clamped to (−0.5, 0.5) and is used as the sub-sample sampling-offset
-// estimate μ for the detected packet.
+// estimate μ for the detected packet. Non-finite neighbour magnitudes
+// count as 0, and a fit that still comes out NaN (magnitudes near the
+// float64 limit) refines nothing.
 func parabolicPeak(profile []complex128, i int) float64 {
 	if i <= 0 || i >= len(profile)-1 {
 		return 0
 	}
-	ym := cmplx.Abs(profile[i-1])
-	y0 := cmplx.Abs(profile[i])
-	yp := cmplx.Abs(profile[i+1])
+	ym := finiteAbs(profile[i-1])
+	y0 := finiteAbs(profile[i])
+	yp := finiteAbs(profile[i+1])
 	den := ym - 2*y0 + yp
 	if den == 0 {
 		return 0
@@ -259,6 +303,8 @@ func parabolicPeak(profile []complex128, i int) float64 {
 		d = 0.5
 	} else if d < -0.5 {
 		d = -0.5
+	} else if d != d {
+		d = 0
 	}
 	return d
 }

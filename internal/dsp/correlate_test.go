@@ -1,9 +1,11 @@
 package dsp
 
 import (
+	"cmp"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -216,5 +218,153 @@ func TestPeakDetectorDefaults(t *testing.T) {
 	pd := PeakDetector{}
 	if thr := pd.Threshold(100); math.Abs(thr-DefaultBeta*100) > 1e-12 {
 		t.Fatalf("default threshold = %v", thr)
+	}
+}
+
+// findExact is the peak search without the squared-magnitude gate: the
+// exact magnitude of every sample decides. On profiles with finite
+// magnitudes FindInto must reproduce it bit for bit.
+func findExact(pd PeakDetector, profile []complex128, refEnergy float64) []Peak {
+	thr := pd.Threshold(refEnergy)
+	minSp := max(pd.MinSpacing, 1)
+	var cands []Peak
+	for i := range profile {
+		m := cmplx.Abs(profile[i])
+		if m <= thr {
+			continue
+		}
+		if i > 0 && cmplx.Abs(profile[i-1]) > m {
+			continue
+		}
+		if i < len(profile)-1 && cmplx.Abs(profile[i+1]) >= m {
+			continue
+		}
+		cands = append(cands, Peak{Pos: i, Mag: m, Value: profile[i], Frac: parabolicPeak(profile, i)})
+	}
+	slices.SortFunc(cands, func(a, b Peak) int {
+		return cmp.Or(cmp.Compare(b.Mag, a.Mag), cmp.Compare(a.Pos, b.Pos))
+	})
+	var keep []Peak
+	for _, c := range cands {
+		if !slices.ContainsFunc(keep, func(k Peak) bool { return c.Pos-k.Pos < minSp && k.Pos-c.Pos < minSp }) {
+			keep = append(keep, c)
+		}
+	}
+	slices.SortFunc(keep, func(a, b Peak) int { return cmp.Compare(a.Pos, b.Pos) })
+	return keep
+}
+
+func samePeaks(a, b []Peak) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Pos != y.Pos || math.Float64bits(x.Mag) != math.Float64bits(y.Mag) ||
+			math.Float64bits(x.Frac) != math.Float64bits(y.Frac) ||
+			math.Float64bits(real(x.Value)) != math.Float64bits(real(y.Value)) ||
+			math.Float64bits(imag(x.Value)) != math.Float64bits(imag(y.Value)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFindIntoGateMatchesExact pins the squared-magnitude gate: every
+// peak equals the exact search's, bit for bit, including profiles whose
+// samples sit within a few ulps of the threshold, profiles at magnitude
+// scales where squaring underflows or overflows, and thresholds the
+// gate must leave to the exact path (≤ 0, NaN, +Inf).
+func TestFindIntoGateMatchesExact(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	thrs := []float64{1, 0.37, 0, -1, math.Inf(1), math.NaN(), 1e-160, 1e-154, 1e154, 1e160, 1e-300, 1e300}
+	for _, scale := range []float64{1, 1e-160, 1e-155, 1e-150, 1e150, 1e154, 1e160, 1e300} {
+		for _, refE := range thrs {
+			pd := PeakDetector{Beta: 1, RefAmp: 1, MinSpacing: 3}
+			thr := pd.Threshold(refE * scale)
+			prof := make([]complex128, 400)
+			for i := range prof {
+				prof[i] = complex(r.NormFloat64(), r.NormFloat64()) * complex(scale, 0)
+				if i%7 == 0 && thr > 0 && !math.IsInf(thr, 0) {
+					// Put magnitudes right at the threshold: a few ulps
+					// either side, along an arbitrary direction.
+					ph := r.Float64() * 2 * math.Pi
+					m := thr * (1 + float64(r.Intn(9)-4)*0x1p-52)
+					prof[i] = cmplx.Rect(m, ph)
+				}
+			}
+			got := pd.FindInto(nil, prof, refE*scale)
+			want := findExact(pd, prof, refE*scale)
+			if !samePeaks(got, want) {
+				t.Fatalf("scale %g thr %g: gated search found %d peaks, exact %d", scale, thr, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestFindIntoNonFiniteRuns pins that non-finite samples are never
+// peaks: a profile with NaN/±Inf runs yields exactly the peaks of the
+// same profile with the runs zeroed, each with a finite refinement. A
+// 40-sample NaN run used to report a NaN "peak" every MinSpacing.
+func TestFindIntoNonFiniteRuns(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := make([]complex128, 300)
+	r := rand.New(rand.NewSource(3))
+	for i := range base {
+		base[i] = complex(0.1*r.NormFloat64(), 0.1*r.NormFloat64())
+	}
+	for _, p := range []int{30, 100, 180, 250} {
+		base[p-1], base[p], base[p+1] = 3, 5, 2
+	}
+	cases := []struct {
+		name   string
+		lo, hi int
+		v      complex128
+	}{
+		{"nan run", 40, 80, complex(nan, 0)},
+		{"nan imag", 40, 80, complex(0, nan)},
+		{"+inf run", 40, 80, complex(inf, 0)},
+		{"-inf run", 40, 80, complex(0, -inf)},
+		{"nan next to peak", 101, 110, complex(nan, nan)},
+		{"inf next to peak", 90, 100, complex(inf, 1)},
+		{"inf inside peak", 180, 181, complex(-inf, 0)},
+		{"overflowing magnitude", 200, 205, complex(1.5e308, 1.5e308)},
+	}
+	pd := PeakDetector{Beta: 1, RefAmp: 1, MinSpacing: 8}
+	for _, tc := range cases {
+		prof := append([]complex128(nil), base...)
+		zeroed := append([]complex128(nil), base...)
+		for i := tc.lo; i < tc.hi; i++ {
+			prof[i], zeroed[i] = tc.v, 0
+		}
+		got := pd.FindInto(nil, prof, 1)
+		want := pd.FindInto(nil, zeroed, 1)
+		if !samePeaks(got, want) {
+			t.Errorf("%s: peaks %+v, want %+v", tc.name, got, want)
+		}
+		for _, p := range got {
+			if math.IsNaN(p.Mag) || math.IsInf(p.Mag, 0) || math.IsNaN(p.Frac) {
+				t.Errorf("%s: non-finite peak %+v", tc.name, p)
+			}
+		}
+	}
+}
+
+// BenchmarkFindInto times the peak search over a detection-sized
+// profile: mostly sub-threshold noise with a few preamble spikes.
+func BenchmarkFindInto(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	prof := make([]complex128, 4096)
+	for i := range prof {
+		prof[i] = complex(4*r.NormFloat64(), 4*r.NormFloat64())
+	}
+	for _, p := range []int{500, 1800, 3100} {
+		prof[p] = 60
+	}
+	pd := PeakDetector{RefAmp: 1, MinSpacing: 32}
+	var dst []Peak
+	b.ReportAllocs()
+	for b.Loop() {
+		dst = pd.FindInto(dst, prof, 64)
 	}
 }

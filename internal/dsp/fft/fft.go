@@ -18,12 +18,20 @@
 // debugging escape hatch.
 //
 // When one signal is correlated against many references — the store
-// matcher locates every stored packet inside the same fresh reception —
-// a Prepared signal keeps its overlap-save block spectra, and
-// RefSpectrum precomputes a reference's side, so each further pair
-// costs one product and one inverse transform per block. Prepared runs
-// the same engine as Correlate, so its profiles are bit-identical,
-// kernel dispatch included.
+// matcher locates every stored packet inside the same fresh reception,
+// and the preamble detector (phy.Synchronizer) correlates each
+// reception at every client's frequency offset — a Prepared signal
+// keeps its overlap-save block spectra, and RefSpectrum precomputes a
+// reference's side (the detector caches one per client offset), so
+// each further pair costs one product and one inverse transform per
+// block. Prepared runs the same engine as Correlate, so its profiles
+// are bit-identical, kernel dispatch included.
+//
+// The butterfly kernels the correlation transforms spend their time
+// in (fwdStage4, invStage4, fwd8, inv8Mul) run on SSE2 assembly on
+// amd64 (fft_amd64.s), bit-identical to their Go versions; the purego
+// build tag, or any other GOARCH, runs the Go versions, which are also
+// the assembly's test oracle.
 package fft
 
 import (
@@ -259,10 +267,58 @@ func dit(x []complex128, n int, stages [][]complex128, sign float64) {
 }
 
 // fwdStage4 runs one fused pair of forward radix-2 decimation levels on
+// blocks of `size` over x[:n] (n a multiple of size, size ≥ 8), on the
+// SSE2 kernel when built (see the package doc) and on fwdStage4Go
+// otherwise.
+func fwdStage4(x []complex128, n, size int, tw []complex128) {
+	if haveFFTAsm {
+		_, _ = x[n-1], tw[3*(size>>2)-1]
+		fwdStage4Asm(&x[0], n, size, &tw[0])
+		return
+	}
+	fwdStage4Go(x, n, size, tw)
+}
+
+// invStage4 is the inverse counterpart of fwdStage4.
+func invStage4(x []complex128, n, size int, tw []complex128) {
+	if haveFFTAsm {
+		_, _ = x[n-1], tw[3*(size>>2)-1]
+		invStage4Asm(&x[0], n, size, &tw[0])
+		return
+	}
+	invStage4Go(x, n, size, tw)
+}
+
+// fwd8 runs the terminal size-8 and size-2 forward stages on every
+// whole 8-block of x.
+func fwd8(x []complex128) {
+	if haveFFTAsm {
+		if b := len(x) / 8; b > 0 {
+			fwd8Asm(&x[0], b)
+		}
+		return
+	}
+	fwd8Go(x)
+}
+
+// inv8Mul is the inverse counterpart of fwd8 with the spectrum product
+// src ⊙ spec fused in, written to x (which may alias src).
+func inv8Mul(x, src, spec []complex128) {
+	if haveFFTAsm {
+		src = src[:len(x)]
+		if b := min(len(x), len(spec)) / 8; b > 0 {
+			inv8MulAsm(&x[0], &src[0], &spec[0], b)
+		}
+		return
+	}
+	inv8MulGo(x, src, spec)
+}
+
+// fwdStage4Go runs one fused pair of forward radix-2 decimation levels on
 // blocks of `size`: each quarter-strided 4-tuple is combined with
 // ω_4 = −i and the results twiddled by (ω^j, ω^{2j}, ω^{3j}) from tw.
 // The j = 0 butterfly has unit twiddles and is peeled.
-func fwdStage4(x []complex128, n, size int, tw []complex128) {
+func fwdStage4Go(x []complex128, n, size int, tw []complex128) {
 	q := size >> 2
 	for start := 0; start < n; start += size {
 		x0 := x[start : start+q : start+q]
@@ -289,9 +345,9 @@ func fwdStage4(x []complex128, n, size int, tw []complex128) {
 	}
 }
 
-// invStage4 is the inverse counterpart of fwdStage4: twiddle-multiply
+// invStage4Go is the inverse counterpart of fwdStage4Go: twiddle-multiply
 // first (tw already conjugated), then combine with ω_4 = +i.
-func invStage4(x []complex128, n, size int, tw []complex128) {
+func invStage4Go(x []complex128, n, size int, tw []complex128) {
 	q := size >> 2
 	for start := 0; start < n; start += size {
 		x0 := x[start : start+q : start+q]
@@ -375,11 +431,11 @@ func inv2Mul(x, src, spec []complex128) {
 // fused 8-point kernels.
 const rt2 = 0.7071067811865476
 
-// fwd8 runs the terminal size-8 and size-2 forward stages as one
+// fwd8Go runs the terminal size-8 and size-2 forward stages as one
 // register-resident sweep per 8-block (reached when log₂n is odd). The
 // ω₈ twiddles (1−i)/√2, −i, −(1+i)/√2 are applied with two real
 // multiplies each instead of a general complex multiply.
-func fwd8(x []complex128) {
+func fwd8Go(x []complex128) {
 	for i := 0; i+7 < len(x); i += 8 {
 		a0, a1, a2, a3 := x[i], x[i+2], x[i+4], x[i+6]
 		u0, u1 := a0+a2, a1+a3
@@ -405,10 +461,10 @@ func fwd8(x []complex128) {
 	}
 }
 
-// inv8Mul is the inverse counterpart of fwd8 with the spectrum product
-// fused in: product src ⊙ spec, size-2 stage, and the size-8 stage
-// (conjugated ω₈ twiddles) in one sweep per 8-block, written to x.
-func inv8Mul(x, src, spec []complex128) {
+// inv8MulGo is the inverse counterpart of fwd8Go with the spectrum
+// product fused in: product src ⊙ spec, size-2 stage, and the size-8
+// stage (conjugated ω₈ twiddles) in one sweep per 8-block, written to x.
+func inv8MulGo(x, src, spec []complex128) {
 	src = src[:len(x)]
 	for i := 0; i+7 < len(x) && i+7 < len(spec); i += 8 {
 		p0, p1 := src[i]*spec[i], src[i+1]*spec[i+1]

@@ -190,6 +190,9 @@ func (s *LSQ) SolveComplexLeastSquares(a [][]complex128, b []complex128) ([]comp
 	s.rrows, s.rflat = rowViewsF(s.rrows, s.rflat, 2*len(a), 2*n)
 	s.rrhs = ensureF(s.rrhs, 2*len(a))
 	for r, row := range a {
+		if len(row) > n {
+			return nil, errRaggedMatrix
+		}
 		rowRe, rowIm := s.rrows[2*r], s.rrows[2*r+1]
 		if len(row) < n {
 			// Short rows are zero-padded (the allocate-per-call path got

@@ -37,8 +37,9 @@ func SolveLinear(m [][]float64, v []float64) ([]float64, error) {
 }
 
 // SolveComplexLeastSquares solves min ‖A·x − b‖² for complex A, b by
-// stacking real and imaginary parts into a real system. Rows of A must all
-// have equal length.
+// stacking real and imaginary parts into a real system. The first row
+// sets the width: shorter rows are zero-padded, and a longer row is a
+// ragged matrix (an error, as for SolveLeastSquares).
 func SolveComplexLeastSquares(a [][]complex128, b []complex128) ([]complex128, error) {
 	var s LSQ
 	return s.SolveComplexLeastSquares(a, b)

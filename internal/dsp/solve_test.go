@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,5 +225,20 @@ func TestLSQShortRowsZeroPadded(t *testing.T) {
 		if want[j] != got[j] {
 			t.Fatalf("tap %d: reused scratch %v, fresh %v", j, got[j], want[j])
 		}
+	}
+}
+
+// TestComplexLeastSquaresRejectsLongRow pins that a row longer than the
+// first is a ragged matrix — an error, as for the real solver — on both
+// the free function and a reused LSQ, instead of an index panic.
+func TestComplexLeastSquaresRejectsLongRow(t *testing.T) {
+	a := [][]complex128{{1, 2}, {3, 4, 5}, {6, 7}}
+	b := []complex128{1, 2, 3}
+	if _, err := SolveComplexLeastSquares(a, b); !errors.Is(err, errRaggedMatrix) {
+		t.Fatalf("free solver: err = %v, want %v", err, errRaggedMatrix)
+	}
+	var s LSQ
+	if _, err := s.SolveComplexLeastSquares(a, b); !errors.Is(err, errRaggedMatrix) {
+		t.Fatalf("LSQ solver: err = %v, want %v", err, errRaggedMatrix)
 	}
 }

@@ -38,6 +38,13 @@ type Modeler struct {
 	wave []complex128
 	img  []complex128
 
+	// sub describes the image the most recent Subtract left in img, so a
+	// RefineSpan of exactly that span under the same snapshot measures
+	// against it instead of re-rendering it. Any other image build, a
+	// filter change (FitISI, SetShape, Reinit) and RefineSpan's in-place
+	// scaling of img clear it.
+	sub subImage
+
 	// g is the image filter. Until FitISI succeeds it is the single-tap
 	// Ĥ model; afterwards it captures the full distortion. gTaps is the
 	// modeler-owned backing for g's taps, reused across fits and
@@ -63,6 +70,26 @@ type Modeler struct {
 	anchorPhase float64
 	lastPos     float64 // previous anchor, for the δφ/δt slope
 	hasLast     bool
+}
+
+// subImage identifies a chunk image by everything BuildImage reads:
+// the chip span and chip buffer (its first element and length; the
+// decoder never rewrites committed chips in place), the rotation model,
+// and — held fixed by invalidation — the filter, sync and interpolator.
+type subImage struct {
+	ok           bool
+	from, to, n0 int
+	chips        *complex128
+	nChips       int
+	state        ModelState
+}
+
+// sameState reports whether two rotation-model snapshots are equal bit
+// for bit (a sign-of-zero difference could change an image).
+func sameState(a, b ModelState) bool {
+	return math.Float64bits(a.AnchorPos) == math.Float64bits(b.AnchorPos) &&
+		math.Float64bits(a.AnchorPhase) == math.Float64bits(b.AnchorPhase) &&
+		math.Float64bits(a.Freq) == math.Float64bits(b.Freq)
 }
 
 // NewModeler builds a modeler for one packet occurrence in one reception.
@@ -92,6 +119,7 @@ func (m *Modeler) Reinit(cfg Config, s Sync) {
 	m.anchorPhase = 0
 	m.lastPos = 0
 	m.hasLast = false
+	m.sub = subImage{}
 }
 
 // Sync returns the synchronization the modeler is anchored to.
@@ -135,6 +163,7 @@ func (m *Modeler) SetShape(shape dsp.FIR) {
 	}
 	m.g = dsp.FIR{Taps: taps, Center: shape.Center}
 	m.isiFit = true
+	m.sub.ok = false
 }
 
 // Freq returns the current refined frequency-offset estimate.
@@ -230,6 +259,7 @@ func (m *Modeler) chunkSampleRange(chipFrom, chipTo int) (int, int) {
 // until the next image-building call on this modeler and must not be
 // retained across calls.
 func (m *Modeler) BuildImage(chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
+	m.sub.ok = false
 	n0, n1 := m.chunkSampleRange(chipFrom, chipTo)
 	w := m.alignedWaveMasked(chips, chipFrom, chipTo, n0, n1)
 	m.img = m.g.Apply(dsp.Ensure(m.img, len(w)), w)
@@ -306,6 +336,7 @@ func (m *Modeler) FitISI(residual []complex128, chips []complex128, chipFrom, ch
 	m.gTaps = append(m.gTaps[:0], g.Taps...)
 	m.g = dsp.FIR{Taps: m.gTaps, Center: g.Center}
 	m.isiFit = true
+	m.sub.ok = false
 	return nil
 }
 
@@ -421,11 +452,24 @@ func (m *Modeler) applyTrack(dphi, pos float64) {
 // what keeps the estimate stable no matter how stale the subtraction
 // was. It returns the measured δφ (0 when the measurement was rejected
 // or tracking is disabled).
+//
+// When the span is exactly the one the modeler's most recent Subtract
+// rendered, under the same snapshot and chip buffer, that image is
+// still in the modeler's scratch and is measured against directly (the
+// common case: a span refined right after it was subtracted). The
+// chips of a subtracted span must therefore not be rewritten in place
+// before it is refined; the decoder commits each chip once.
 func (m *Modeler) RefineSpan(residual []complex128, chips []complex128, chipFrom, chipTo int, snap ModelState) float64 {
 	if m.cfg.DisablePhaseTracking {
 		return 0
 	}
-	img, n0 := m.buildImageWith(snap, chips, chipFrom, chipTo)
+	var img []complex128
+	var n0 int
+	if m.subtracted(chips, chipFrom, chipTo, snap) {
+		img, n0 = m.img, m.sub.n0
+	} else {
+		img, n0 = m.buildImageWith(snap, chips, chipFrom, chipTo)
+	}
 	margin := m.cfg.ModelTaps + m.interp.Taps + dsp.DefaultSincTaps
 	lo, hi := margin, len(img)-margin
 	var num, den complex128
@@ -462,6 +506,7 @@ func (m *Modeler) RefineSpan(residual []complex128, chips []complex128, chipFrom
 		m.freq = snap.Freq + df
 	}
 	// Correct the residual: the true image was img·λ, we subtracted img.
+	m.sub.ok = false
 	delta := lambda - 1
 	for i := range img {
 		img[i] *= delta
@@ -492,6 +537,18 @@ func (m *Modeler) buildImageWith(s ModelState, chips []complex128, chipFrom, chi
 func (m *Modeler) Subtract(residual []complex128, chips []complex128, chipFrom, chipTo int) {
 	img, n0 := m.BuildImage(chips, chipFrom, chipTo)
 	dsp.SubAt(residual, n0, img)
+	if len(chips) > 0 {
+		m.sub = subImage{ok: true, from: chipFrom, to: chipTo, n0: n0,
+			chips: &chips[0], nChips: len(chips), state: m.State()}
+	}
+}
+
+// subtracted reports whether img still holds the image of chips
+// [chipFrom, chipTo) under snap, left there by the last Subtract.
+func (m *Modeler) subtracted(chips []complex128, chipFrom, chipTo int, snap ModelState) bool {
+	s := &m.sub
+	return s.ok && s.from == chipFrom && s.to == chipTo && len(chips) == s.nChips &&
+		len(chips) > 0 && &chips[0] == s.chips && sameState(s.state, snap)
 }
 
 // AddBack re-adds the chunk image, undoing a Subtract with unchanged

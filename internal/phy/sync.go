@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/cmplx"
 
 	"zigzag/internal/dsp"
@@ -52,15 +53,43 @@ func (s Sync) Theta(n float64) float64 {
 // the Monte-Carlo harnesses construct one per trial, and the online
 // receiver gives its concurrent store-match leg a Synchronizer of its
 // own.
+//
+// Detection runs on a prepared buffer (fft.Prepared): Prepare
+// transforms a reception once, and each DetectPrepared call correlates
+// it against the preamble at one client's frequency offset, so a
+// detection pass over every client costs one forward transform of the
+// reception instead of one per client. The Γ'(Δ)-rotated preamble
+// spectrum of each frequency offset and plan size is cached on the
+// Synchronizer, so a client's reference is transformed once, not once
+// per reception; a new offset simply misses the cache. Profiles are
+// bit-identical to fft.Correlate's, kernel dispatch included. A
+// prepared buffer belongs to one detection pass: the next Prepare (or
+// Detect) replaces it, and the caller must not change the buffer while
+// it is prepared.
 type Synchronizer struct {
 	cfg     Config
 	wave    []complex128 // preamble chip waveform
 	energy  float64      // Σ|s[k]|²
 	corr    fft.Scratch  // correlation engine working storage
+	prep    fft.Prepared // the buffer of the current detection pass
+	refs    []refSpec    // cached preamble spectra per (freq, plan size)
 	prof    []complex128 // reusable profile buffer (Detect only)
 	peakBuf []dsp.Peak   // reusable peak list (Detect only)
 	syncBuf []Sync       // reusable sync list (Detect only)
 }
+
+// refSpec is one cached preamble spectrum: fft.RefSpectrum of the
+// preamble pre-rotated for freq, at plan size n.
+type refSpec struct {
+	freq float64
+	n    int
+	spec []complex128
+}
+
+// maxRefSpecs bounds the spectrum cache. A receiver needs one entry per
+// client and plan size; past the bound the cache starts over, reusing
+// its entries' storage.
+const maxRefSpecs = 32
 
 // NewSynchronizer builds a synchronizer for the configuration.
 func NewSynchronizer(cfg Config) *Synchronizer {
@@ -83,11 +112,33 @@ func (sy *Synchronizer) PreambleSamples() []complex128 { return sy.wave }
 // reception is exactly the paper's collision indicator (Fig 4-2).
 //
 // The returned slice is the synchronizer's reusable scratch, valid
-// until the next Detect/DetectFor on this synchronizer; callers that
-// retain syncs across detections copy the values out (Sync is a plain
-// value type).
+// until the next Detect/DetectFor/DetectPrepared on this synchronizer;
+// callers that retain syncs across detections copy the values out (Sync
+// is a plain value type). Detect is Prepare(rx) followed by one
+// correlation, so it also ends any detection pass in progress.
 func (sy *Synchronizer) Detect(rx []complex128, freq, beta, refAmp float64) []Sync {
-	sy.prof = fft.Correlate(sy.prof, rx, sy.wave, freq, &sy.corr)
+	sy.Prepare(rx)
+	return sy.detect(freq, beta, refAmp)
+}
+
+// Prepare starts a detection pass over rx: the DetectPrepared calls
+// that follow all correlate against rx, sharing its forward transform.
+func (sy *Synchronizer) Prepare(rx []complex128) {
+	sy.prep.Prepare(rx, len(sy.wave))
+}
+
+// DetectPrepared is DetectFor on the buffer of the last Prepare: every
+// call of a pass reuses that buffer's forward transform and the cached
+// preamble spectrum for freq, with bit-identical results. The returned
+// slice is the same reusable scratch as Detect's.
+func (sy *Synchronizer) DetectPrepared(freq, beta, refAmp float64) []Sync {
+	return stampFreq(sy.detect(freq, beta, refAmp), freq)
+}
+
+// detect correlates the prepared buffer against the preamble at freq
+// and thresholds the profile into syncs (without Freq stamped).
+func (sy *Synchronizer) detect(freq, beta, refAmp float64) []Sync {
+	sy.prof = sy.prep.Correlate(sy.prof, sy.wave, freq, sy.refSpectrum(freq), &sy.corr)
 	pd := dsp.PeakDetector{Beta: beta, RefAmp: refAmp, MinSpacing: len(sy.wave) / 2}
 	sy.peakBuf = pd.FindInto(sy.peakBuf, sy.prof, sy.energy)
 	syncs := sy.syncBuf[:0]
@@ -96,6 +147,35 @@ func (sy *Synchronizer) Detect(rx []complex128, freq, beta, refAmp float64) []Sy
 	}
 	sy.syncBuf = syncs
 	return syncs
+}
+
+// refSpectrum returns the cached preamble spectrum for freq at the
+// prepared buffer's plan size, building it on a miss, or nil when that
+// buffer correlates on the naive kernel.
+func (sy *Synchronizer) refSpectrum(freq float64) []complex128 {
+	n := sy.prep.PlanSize()
+	if n == 0 {
+		return nil
+	}
+	bits := math.Float64bits(freq)
+	for i := range sy.refs {
+		if r := &sy.refs[i]; r.n == n && math.Float64bits(r.freq) == bits {
+			return r.spec
+		}
+	}
+	if len(sy.refs) == maxRefSpecs {
+		sy.refs = sy.refs[:0]
+	}
+	i := len(sy.refs)
+	if i < cap(sy.refs) {
+		sy.refs = sy.refs[:i+1] // reuse the entry's spectrum storage
+	} else {
+		sy.refs = append(sy.refs, refSpec{})
+	}
+	r := &sy.refs[i]
+	r.freq, r.n = freq, n
+	r.spec = fft.RefSpectrum(r.spec, sy.wave, freq, n, &sy.corr)
+	return r.spec
 }
 
 // Profile exposes the raw correlation profile for a given coarse
@@ -162,7 +242,10 @@ func (sy *Synchronizer) syncFromPeak(p dsp.Peak) Sync {
 // DetectFor runs Detect and stamps the syncs with the frequency offset
 // used, which downstream decoding needs.
 func (sy *Synchronizer) DetectFor(rx []complex128, freq, beta, refAmp float64) []Sync {
-	syncs := sy.Detect(rx, freq, beta, refAmp)
+	return stampFreq(sy.Detect(rx, freq, beta, refAmp), freq)
+}
+
+func stampFreq(syncs []Sync, freq float64) []Sync {
 	for i := range syncs {
 		syncs[i].Freq = freq
 	}

@@ -5,12 +5,13 @@ import (
 	"reflect"
 	"testing"
 
+	"zigzag/internal/dsp"
 	"zigzag/internal/dsp/fft"
 )
 
 // collisionBuffer builds a buffer with two preamble-led packets over
 // noise, the detector's realistic input shape.
-func collisionBuffer(t *testing.T, cfg Config, seed int64, n int) []complex128 {
+func collisionBuffer(t testing.TB, cfg Config, seed int64, n int) []complex128 {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	rx := make([]complex128, n)
@@ -98,5 +99,85 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	p2 := sy.Profile(small, 0.002)
 	if &p1[0] == &p2[0] {
 		t.Error("Profile returned the internal buffer; successive calls alias")
+	}
+}
+
+// oneShotDetect is the detection a Synchronizer ran before prepared
+// buffers: a one-off fft.Correlate of the buffer against the preamble,
+// thresholded by the peak detector.
+func oneShotDetect(sy *Synchronizer, rx []complex128, freq, beta, refAmp float64) []Sync {
+	prof := fft.Correlate(nil, rx, sy.wave, freq, nil)
+	pd := dsp.PeakDetector{Beta: beta, RefAmp: refAmp, MinSpacing: len(sy.wave) / 2}
+	var out []Sync
+	for _, p := range pd.Find(prof, sy.energy) {
+		s := sy.syncFromPeak(p)
+		s.Freq = freq
+		out = append(out, s)
+	}
+	return out
+}
+
+// sameSyncs is reflect.DeepEqual with nil and empty lists equal.
+func sameSyncs(a, b []Sync) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// TestDetectPreparedMatchesOneShot pins the shared-spectrum detection
+// pass: a Prepare followed by one DetectPrepared per frequency offset
+// reproduces independent one-shot detections exactly, whatever the
+// order of the offsets, over buffers on both plan sizes and the naive
+// kernel, and when a pass introduces a new offset (a client whose
+// frequency estimate changed) after the cache has been filled.
+func TestDetectPreparedMatchesOneShot(t *testing.T) {
+	cfg := Default()
+	sy := NewSynchronizer(cfg)
+	ref := NewSynchronizer(cfg)
+	bufs := [][]complex128{
+		collisionBuffer(t, cfg, 61, 4096),
+		collisionBuffer(t, cfg, 62, 300),           // single-block plan
+		collisionBuffer(t, cfg, 63, 4096)[150:300], // naive kernel
+		collisionBuffer(t, cfg, 64, 2000),
+	}
+	passes := [][]float64{
+		{0.002, -0.003, 0},
+		{-0.003, 0.002, 0},
+		{0.0025, -0.003, 0}, // a changed offset misses the cache
+		{0.002, 0.0025, -0.003, 0},
+	}
+	for pi, freqs := range passes {
+		for bi, rx := range bufs {
+			sy.Prepare(rx)
+			for _, f := range freqs {
+				got := append([]Sync(nil), sy.DetectPrepared(f, 0.5, 1)...)
+				want := oneShotDetect(ref, rx, f, 0.5, 1)
+				if len(want) == 0 && bi == 0 {
+					t.Fatalf("pass %d: nothing detected at %g", pi, f)
+				}
+				if !sameSyncs(got, want) {
+					t.Fatalf("pass %d buffer %d freq %g: prepared %+v, one-shot %+v", pi, bi, f, got, want)
+				}
+				if d := sy.DetectFor(rx, f, 0.5, 1); !sameSyncs(d, got) {
+					t.Fatalf("pass %d buffer %d freq %g: DetectFor %+v, prepared %+v", pi, bi, f, d, got)
+				}
+				sy.Prepare(rx) // DetectFor ended the pass
+			}
+		}
+	}
+}
+
+// BenchmarkDetect times one detection pass — one reception, every
+// client — as the online receiver runs it: the reception is prepared
+// once and correlated at each client's frequency offset.
+func BenchmarkDetect(b *testing.B) {
+	cfg := Default()
+	rx := collisionBuffer(b, cfg, 70, 3000)
+	freqs := []float64{0.003, -0.002}
+	sy := NewSynchronizer(cfg)
+	b.ReportAllocs()
+	for b.Loop() {
+		sy.Prepare(rx)
+		for _, f := range freqs {
+			sy.DetectPrepared(f, 0.5, 1)
+		}
 	}
 }
