@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 
 	"zigzag/internal/campaign"
-	"zigzag/internal/experiments"
-	"zigzag/internal/metrics"
 )
 
 // The campaign leg of -check guards the streaming-metrics stack:
@@ -18,15 +15,13 @@ import (
 //     report must be byte-identical — the acceptance property of the
 //     whole sharded engine, exercised through the same path the CLI
 //     uses.
-//  2. Legacy-hatch identity: the fig5-3 counting sweep runs through the
-//     streaming reducer and again under the -legacy-metrics hatch
-//     (historical materialize-then-fold path); the tallies must match
-//     bit for bit.
-//  3. Calibrated cost: the unsharded campaign's wall-clock is
+//  2. Calibrated cost: the unsharded campaign's wall-clock is
 //     normalized by the calibration kernel and gated against
 //     BENCH_campaign.json; the two-shard run of the same work is
 //     additionally gated on its overhead ratio, which is what the
-//     shard-merge machinery is allowed to cost.
+//     shard-merge machinery is allowed to cost. Both sides are timed
+//     best of checkRounds, interleaved, so one scheduling hiccup on a
+//     shared host cannot fail the ratio.
 
 // campaignBenchFile mirrors the committed BENCH_campaign.json layout
 // (only the fields -check consumes).
@@ -69,18 +64,18 @@ func runCampaignCheck(cal float64) (map[string]float64, bool) {
 	failed := false
 	cfg := campaignCheckConfig()
 
-	// Gate 1 + cost: unsharded reference, then two shards merged.
-	wholeDur, wholeOut := timeSweep(func() any {
+	// Gate 1 + cost: unsharded reference and two shards merged.
+	whole := func() any {
 		acc, err := campaign.Run(cfg, 1, 0, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench-check: campaign: %v\n", err)
 			os.Exit(1)
 		}
 		return acc.Report()
-	})
+	}
 	shardCfg := cfg
 	shardCfg.Workers = 2
-	shardDur, shardOut := timeSweep(func() any {
+	sharded := func() any {
 		merged := campaign.NewAcc()
 		for i := 0; i < 2; i++ {
 			part, err := campaign.Run(shardCfg, 2, i, nil)
@@ -91,32 +86,17 @@ func runCampaignCheck(cal float64) (map[string]float64, bool) {
 			merged.Merge(part)
 		}
 		return merged.Report()
-	})
-	if wholeOut != shardOut {
+	}
+	durs, outs := bestOf(checkRounds, whole, sharded)
+	wholeDur, shardDur := durs[0], durs[1]
+	if outs[0] != outs[1] {
 		fmt.Fprintln(os.Stderr, "bench-check: campaign: 2-shard merged report DIFFERS from unsharded run — shard merge broke determinism")
 		failed = true
 	} else {
 		fmt.Println("bench-check campaign  2-shard merge ≡ unsharded run (byte-identical report)")
 	}
 
-	// Gate 2: streaming reducer vs the -legacy-metrics hatch on a
-	// trimmed counting sweep.
-	legacyScale := checkScale
-	legacyScale.Pairs = 2
-	wasLegacy := metrics.LegacyEnabled()
-	metrics.SetLegacy(false)
-	stream := experiments.Fig53Counts(legacyScale, 3, experiments.Shard{})
-	metrics.SetLegacy(true)
-	legacy := experiments.Fig53Counts(legacyScale, 3, experiments.Shard{})
-	metrics.SetLegacy(wasLegacy)
-	if !reflect.DeepEqual(stream, legacy) {
-		fmt.Fprintln(os.Stderr, "bench-check: campaign: streaming and -legacy-metrics fig5-3 tallies DIFFER — the reducer migration drifted")
-		failed = true
-	} else {
-		fmt.Println("bench-check campaign  streaming reducer ≡ legacy-metrics hatch (bit-identical tallies)")
-	}
-
-	// Gate 3: calibrated units and shard overhead.
+	// Gate 2: calibrated units and shard overhead.
 	units := map[string]float64{
 		"campaign":         wholeDur.Seconds() / cal,
 		"campaign_sharded": shardDur.Seconds() / cal,

@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 
-	"zigzag/internal/dsp/kern"
 	"zigzag/internal/experiments"
 	"zigzag/internal/impair"
 )
@@ -18,20 +17,20 @@ import (
 //     kernel path and must be bit-identical — the determinism canary
 //     for the packed/recurrence kernels (which must depend on nothing
 //     but their inputs).
-//  2. Hatch tolerance: one full link+interferer chain application runs
-//     on the kernel path and again with the -naive-kernels hatch
-//     engaged, and every sample must agree within hatch_tolerance.
-//     (Suite-level outputs are NOT compared across the hatch: the
-//     kernels' documented ≤1e-9 freedom cascades through SIC's
-//     near-threshold bit decisions, so only the kernel-level contract
-//     is a stable gate. The quantizer is excluded here — its kernel is
-//     bit-identical by construction, but it turns a 1e-9 input delta
-//     into a full LSB step when a sample straddles a decision
-//     boundary.)
+//  2. Reference tolerance: one full link+interferer chain application
+//     runs on the kernel path and again on its per-sample scalar
+//     reference (impair.Chain.Reference), and every sample must agree
+//     within hatch_tolerance. (Suite-level outputs are NOT compared
+//     against the reference: the kernels' documented ≤1e-9 freedom
+//     cascades through SIC's near-threshold bit decisions, so only the
+//     kernel-level contract is a stable gate. The quantizer is excluded
+//     here — its kernel is bit-identical by construction, but it turns
+//     a 1e-9 input delta into a full LSB step when a sample straddles a
+//     decision boundary.)
 //  3. Calibrated cost: the full chain's per-reception cost on the
 //     kernel path is normalized by the calibration kernel and compared
 //     against the committed BENCH_kern.json, and the kernel path must
-//     beat the naive path by min_kern_speedup — the floor that
+//     beat the reference chain by min_kern_speedup — the floor that
 //     protects the vectorized layer from silently regressing back to
 //     scalar cost.
 
@@ -84,13 +83,10 @@ func runKernChain(c *impair.Chain, buf []complex128, reps int) []complex128 {
 	return work
 }
 
-// runKernCheck runs the identity, hatch-tolerance and cost gates. It
-// returns the measured units (for -bench-out) and whether any gate
+// runKernCheck runs the identity, reference-tolerance and cost gates.
+// It returns the measured units (for -bench-out) and whether any gate
 // failed.
 func runKernCheck(cal float64) (map[string]float64, bool) {
-	wasNaive := kern.Naive()
-	defer kern.SetNaive(wasNaive)
-
 	var ref kernBenchFile
 	ref.Check.ToleranceFactor = 2.5
 	ref.Check.MinKernSpeedup = 1.3
@@ -114,7 +110,6 @@ func runKernCheck(cal float64) (map[string]float64, bool) {
 	}
 
 	failed := false
-	kern.SetNaive(false)
 	a := experiments.HarshChannelSuite(checkScale, 3)
 	b := experiments.HarshChannelSuite(checkScale, 3)
 	if !reflect.DeepEqual(a, b) {
@@ -124,19 +119,17 @@ func runKernCheck(cal float64) (map[string]float64, bool) {
 		fmt.Println("bench-check kern      harsh replay on the kernel path (bit-identical)")
 	}
 
-	// Hatch tolerance: every link model plus the interferer, no
+	// Reference tolerance: every link model plus the interferer, no
 	// quantizer (see the leg doc above).
-	hatchProfile := impair.Profile{
+	refProfile := impair.Profile{
 		Doppler: 3e-4, RicianK: 2, MultipathDoppler: 2e-4,
 		DriftRate: 5e-7, PhaseNoise: 2e-3,
 		InterfDuty: 0.1, InterfAmp: 0.8,
 	}
 	buf := kernCheckBuf(kernCheckEmission)
-	kern.SetNaive(false)
-	got := runKernChain(hatchProfile.Chain(), buf, 1)
-	kern.SetNaive(true)
-	want := runKernChain(hatchProfile.Chain(), buf, 1)
-	kern.SetNaive(false)
+	chain := refProfile.Chain()
+	got := runKernChain(chain, buf, 1)
+	want := runKernChain(chain.Reference(), buf, 1)
 	var worst float64
 	for i := range got {
 		if d := cmplx.Abs(got[i] - want[i]); d > worst {
@@ -144,23 +137,21 @@ func runKernCheck(cal float64) (map[string]float64, bool) {
 		}
 	}
 	if worst > ref.Check.HatchTolerance {
-		fmt.Fprintf(os.Stderr, "bench-check: kern: kernel vs -naive-kernels chain render diverged by %.3g (tolerance %.3g)\n",
+		fmt.Fprintf(os.Stderr, "bench-check: kern: kernel vs reference chain render diverged by %.3g (tolerance %.3g)\n",
 			worst, ref.Check.HatchTolerance)
 		failed = true
 	} else {
-		fmt.Printf("bench-check kern      hatch agreement %.2g ≤ %.2g\n", worst, ref.Check.HatchTolerance)
+		fmt.Printf("bench-check kern      reference agreement %.2g ≤ %.2g\n", worst, ref.Check.HatchTolerance)
 	}
 
 	// Calibrated cost of the full chain (quantizer included: this is
 	// the per-reception overhead the impair benchmarks track).
-	costProfile := hatchProfile
+	costProfile := refProfile
 	costProfile.ADCBits = 10
 	const reps = 600
 	costChain := costProfile.Chain()
 	kernDur, _ := timeSweep(func() any { return runKernChain(costChain, buf, reps) })
-	kern.SetNaive(true)
-	naiveDur, _ := timeSweep(func() any { return runKernChain(costChain, buf, reps) })
-	kern.SetNaive(false)
+	naiveDur, _ := timeSweep(func() any { return runKernChain(costChain.Reference(), buf, reps) })
 
 	units := map[string]float64{
 		"impair-chain":       kernDur.Seconds() / cal,

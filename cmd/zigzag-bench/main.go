@@ -7,7 +7,6 @@
 //	              table5-1|fig5-2a|fig5-2b|fig5-3|fig5-4|fig5-5|fig5-9|
 //	              harsh|kway|campaign]
 //	             [-scale quick|full] [-seed N] [-workers N] [-k N]
-//	             [-pairwise-sic] [-legacy-metrics]
 //	             [-shards N -shard i [-shard-out FILE]] [-merge F1,F2,...]
 //	             [-checkpoint FILE [-checkpoint-every N] [-stop-after-blocks N]]
 //
@@ -19,17 +18,12 @@
 // "harsh" is the time-varying-channel suite (internal/impair): BER of
 // jointly decoded collision pairs vs Doppler (with the phase-tracking
 // ablation), Rician K, interferer duty cycle, and CFO drift rate.
-// -no-impair (or ZIGZAG_NO_IMPAIR=1) pins every chain to the static
-// channel. -k raises the suite's collision order: k packets colliding
+// -k raises the suite's collision order: k packets colliding
 // k times per trial through the generalized SIC path (§7); k=2 is the
 // historical pairwise suite, byte-identical.
 //
 // "kway" is the collision-order sweep: joint-decode BER at k = 2, 3, 4
 // on the static channel and under mild fading.
-//
-// -pairwise-sic (or ZIGZAG_PAIRWISE_SIC=1) forces every decode onto the
-// legacy pairwise chunk-ordering policy regardless of k — the escape
-// hatch for the generalized k-way SIC framework.
 //
 // "campaign" is the city-scale engine (internal/campaign): overlapping
 // BSSes with churned station placement, k-way collision episodes
@@ -41,13 +35,7 @@
 // -shards N -shard i runs one contiguous slice of the trial space and
 // writes a mergeable JSON partial; -merge folds partials and renders
 // stdout byte-identical to the unsharded run, at any shard split and
-// worker count. -legacy-metrics (or ZIGZAG_LEGACY_METRICS=1) pins the
-// historical materialize-then-fold metrics path, bit-identically.
-//
-// Every escape hatch (-no-impair, -pairwise-sic, -legacy-metrics,
-// -naive-correlate, ...) is registered from the internal/hatch
-// registry; each has a matching ZIGZAG_* environment variable, and an
-// absent flag never overrides the environment.
+// worker count.
 //
 // Every output block is labelled with the paper artifact it reproduces;
 // EXPERIMENTS.md records paper-vs-measured values for each.
@@ -60,7 +48,6 @@ import (
 	"strings"
 
 	"zigzag/internal/experiments"
-	"zigzag/internal/hatch"
 	"zigzag/internal/metrics"
 )
 
@@ -71,13 +58,13 @@ func main() {
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = all cores)")
 	kOrder := flag.Int("k", 2, "collision order for the harsh suite (2-4): k packets colliding k times per trial")
 	check := flag.Bool("check", false,
-		"run the trimmed session-throughput benchmark and diff the pooled/unpooled speedups against BENCH_session.json, plus the DSP kernel gate (BENCH_kern.json), the k-way gate (BENCH_kway.json), the campaign shard-merge gate (BENCH_campaign.json) and the streaming-serve gate (BENCH_serve.json)")
+		"run the trimmed session-throughput benchmark and diff its calibrated costs against BENCH_session.json, plus the DSP kernel gate (BENCH_kern.json), the k-way gate (BENCH_kway.json), the campaign shard-merge gate (BENCH_campaign.json) and the streaming-serve gate (BENCH_serve.json)")
 	kwayOnly := flag.Bool("kway-only", false,
-		"with -check: run only the k-way gate (k=2/3/4 decode cost + k=2 generalized-vs-pairwise identity)")
+		"with -check: run only the k-way gate (k=2/3/4 decode cost)")
 	campaignOnly := flag.Bool("campaign-only", false,
 		"with -check: run only the campaign gate (shard-merge identity + reducer cost)")
 	serveOnly := flag.Bool("serve-only", false,
-		"with -check: run only the serve gate (streaming-vs-oneshot identity, overload shedding, throughput/latency floor)")
+		"with -check: run only the serve gate (rechunking identity, overload shedding, throughput/latency floor)")
 	obsOnly := flag.Bool("obs-only", false,
 		"with -check: run only the observability gate (observation-identity digests, metric/report reconciliation, disabled-path alloc + cost pins)")
 	benchOut := flag.String("bench-out", "",
@@ -89,9 +76,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "campaign only: checkpoint file; written during the run and resumed from when it exists")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "write the checkpoint every n-th completed block (0 = every block)")
 	stopAfterBlocks := flag.Int("stop-after-blocks", 0, "campaign only: stop scheduling new blocks after n complete (deterministic interruption for resume demos)")
-	applyHatches := hatch.Bind(flag.CommandLine)
 	flag.Parse()
-	applyHatches()
 	if *kOrder < 2 || *kOrder > 4 {
 		fmt.Fprintln(os.Stderr, "-k must be 2, 3 or 4")
 		os.Exit(2)

@@ -37,14 +37,7 @@
 // window rates and recent typed decode events) at /debug/obs, and the
 // standard net/http/pprof handlers at /debug/pprof/ with ingest/decode
 // phases labeled. The exported counters reconcile exactly with the
-// final report. -no-obs (ZIGZAG_NO_OBS=1) disables the whole layer.
-//
-// Every escape hatch (-oneshot-ingest, -no-impair, -naive-correlate,
-// ...) is registered from the internal/hatch registry; each has a
-// matching ZIGZAG_* environment variable, and an absent flag never
-// overrides the environment. -oneshot-ingest pins the engine to the
-// one-shot Receive wrapper — the identity reference for the streaming
-// front end.
+// final report.
 package main
 
 import (
@@ -54,7 +47,6 @@ import (
 	"os"
 
 	"zigzag/internal/core"
-	"zigzag/internal/hatch"
 	"zigzag/internal/impair"
 	"zigzag/internal/obs"
 	"zigzag/internal/serve"
@@ -103,9 +95,7 @@ func main() {
 	captureFormat := flag.String("capture-format", "complex128", "with -record: complex128 (bit-exact) | complex64 (half size)")
 	listen := flag.String("listen", "", "serve /metrics, /debug/obs and /debug/pprof on this address while running (e.g. :9090)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
-	applyHatches := hatch.Bind(flag.CommandLine)
 	flag.Parse()
-	applyHatches()
 
 	policy, ok := serve.ParsePolicy(*policyName)
 	if !ok {
@@ -180,7 +170,7 @@ func main() {
 		Policy:     policy,
 		PollBudget: *pollBudget,
 	}
-	if *listen != "" && !obs.Disabled() {
+	if *listen != "" {
 		ring := obs.NewRing(obs.DefaultRingCapacity)
 		exporter, srv, err := obs.ListenAndServe(*listen, obs.Default, ring)
 		if err != nil {
@@ -216,11 +206,7 @@ func main() {
 }
 
 func printReport(rep *serve.Report, policy serve.Policy) {
-	ingest := "streaming"
-	if rep.Oneshot {
-		ingest = "oneshot"
-	}
-	fmt.Printf("zigzag-serve: ingest=%s policy=%s\n", ingest, policy)
+	fmt.Printf("zigzag-serve: policy=%s\n", policy)
 	fmt.Printf("stream:  %d samples  %d receptions  %d polled  %d dropped  %d forced cuts\n",
 		rep.Samples, rep.Receptions, rep.Polled, rep.Dropped, rep.ForcedCuts)
 	fmt.Printf("frames:  %d delivered (standard %d  zigzag %d  capture %d)  %d failed  %d collisions still stored\n",

@@ -216,14 +216,10 @@ func (c Config) trial(sess *session.Session, acc *Acc) {
 		}
 		ep := experiments.CollisionEpisode(sess, c.Payload, snrs, c.Noise, c.Profile)
 		acc.observe(ep)
-		if !obs.Disabled() {
-			campaignVarsOnce().episodes.Inc()
-		}
+		campaignVarsOnce().episodes.Inc()
 	}
 	acc.Trials.Add(1)
-	if !obs.Disabled() {
-		campaignVarsOnce().trials.Inc()
-	}
+	campaignVarsOnce().trials.Inc()
 }
 
 func contains(xs []int, v int) bool {

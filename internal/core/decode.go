@@ -105,8 +105,7 @@ type decoder struct {
 	marginSym int
 	iters     int
 	// kway enables the generalized ordering policy (see sic.go): set for
-	// decodes over three or more distinct packets unless the pairwise
-	// escape hatch is engaged.
+	// decodes over three or more distinct packets.
 	kway bool
 
 	// Reusable working storage (kept across decodes on the same

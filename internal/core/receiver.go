@@ -668,13 +668,9 @@ func (z *Receiver) receiveCollision(rx []complex128, occs []Occurrence, clients 
 // joint decodes on an already-rare path). Duplicate assignments —
 // clients indistinguishable in scheme and CFO — are skipped.
 //
-// Disabled by the pairwise escape hatch, and a no-op for two-client
-// sets (the pairwise loop already covers those), which keeps k=2
-// behaviour bit-identical.
+// A no-op for two-client sets (the pairwise loop already covers
+// those), which keeps k=2 behaviour bit-identical.
 func (z *Receiver) tryKWayStore(rx []complex128, rec *Reception, clients []uint8) ([]Event, bool) {
-	if PairwiseSIC() {
-		return nil, false
-	}
 	for si, st := range z.stored {
 		k := len(st.clients)
 		if k < 3 {

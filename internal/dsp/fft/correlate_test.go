@@ -88,27 +88,29 @@ func TestCorrelateEdgeCases(t *testing.T) {
 	assertProfilesMatch(t, "single-output", got, want, 1e-9*profScale(y, ref))
 }
 
-func TestForceNaive(t *testing.T) {
-	defer SetForceNaive(false)
+// TestCorrelateNaiveMatchesProfile pins the naive kernel — the
+// below-crossover path and the FFT engine's oracle — bit for bit to
+// dsp.CorrelateProfile, with and without a Scratch, and the FFT path
+// Correlate takes for the same shape to it within rounding.
+func TestCorrelateNaiveMatchesProfile(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	ref := randVec(r, 256)
 	y := randVec(r, 8192)
-	SetForceNaive(true)
-	if !ForceNaive() {
-		t.Fatal("ForceNaive not set")
-	}
-	forced := Correlate(nil, y, ref, 0.004, nil)
 	want := dsp.CorrelateProfile(y, ref, 0.004)
-	// Forced-naive dispatch shares the exact code path with the
-	// reference kernel, so the results are bit-identical.
-	for i := range want {
-		if forced[i] != want[i] {
-			t.Fatalf("forced-naive profile[%d] = %v, want bit-identical %v", i, forced[i], want[i])
+	var s Scratch
+	for _, sc := range []*Scratch{nil, &s} {
+		naive := correlateNaive(nil, y, ref, 0.004, sc)
+		for i := range want {
+			if naive[i] != want[i] {
+				t.Fatalf("naive profile[%d] = %v, want bit-identical %v", i, naive[i], want[i])
+			}
 		}
 	}
-	SetForceNaive(false)
+	if PlanSize(len(ref), len(y)) == 0 {
+		t.Fatal("shape should take the FFT path")
+	}
 	fftProf := Correlate(nil, y, ref, 0.004, nil)
-	assertProfilesMatch(t, "unforced", fftProf, want, 1e-9*profScale(y, ref))
+	assertProfilesMatch(t, "fft", fftProf, want, 1e-9*profScale(y, ref))
 }
 
 func TestCorrelateDeterministicAcrossScratchReuse(t *testing.T) {

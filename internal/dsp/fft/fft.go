@@ -14,8 +14,8 @@
 // detection allocates nothing either way.
 //
 // Correlate dispatches between this engine and the naive kernel by a
-// size heuristic; see its documentation and SetForceNaive for the
-// debugging escape hatch.
+// size heuristic; see its documentation. The naive kernel also serves
+// as the engine's test oracle.
 //
 // When one signal is correlated against many references — the store
 // matcher locates every stored packet inside the same fresh reception,

@@ -74,35 +74,6 @@ func TestPreparedMatchesCorrelateExactly(t *testing.T) {
 	}
 }
 
-// TestPreparedNaiveHatch pins the dispatch under the naive escape
-// hatch: a prepared signal takes the naive kernel exactly when
-// Correlate does, including when the hatch flips after Prepare.
-func TestPreparedNaiveHatch(t *testing.T) {
-	defer SetForceNaive(false)
-	r := rand.New(rand.NewSource(22))
-	SetForceNaive(true)
-	checkPrepared(t, "forced", r, 512, 9000, 0.002)
-
-	y := randVec(r, 6000)
-	ref := randVec(r, 256)
-	var pr Prepared
-	pr.Prepare(y, len(ref))
-	SetForceNaive(false)
-	if pr.PlanSize() == 0 {
-		t.Fatal("unforced shape should take the FFT path")
-	}
-	spec := RefSpectrum(nil, ref, 0, pr.PlanSize(), nil)
-	assertIdentical(t, "unforced", pr.Correlate(nil, ref, 0, spec, nil), Correlate(nil, y, ref, 0, nil))
-	SetForceNaive(true)
-	if pr.PlanSize() != 0 {
-		t.Fatal("forced shape should take the naive kernel")
-	}
-	// The FFT-path spectrum no longer matches the plan and is ignored.
-	assertIdentical(t, "forced-after-prepare", pr.Correlate(nil, ref, 0, spec, nil), Correlate(nil, y, ref, 0, nil))
-	SetForceNaive(false)
-	assertIdentical(t, "unforced-again", pr.Correlate(nil, ref, 0, nil, nil), Correlate(nil, y, ref, 0, nil))
-}
-
 // TestPreparedIgnoresMismatchedSpectrum checks that a spectrum computed
 // for another plan size falls back to the reference transform.
 func TestPreparedIgnoresMismatchedSpectrum(t *testing.T) {
@@ -141,21 +112,19 @@ func TestPreparedReprepareReusesStorage(t *testing.T) {
 	}
 }
 
-// FuzzCorrelatePrepared drives arbitrary shapes, frequency steps and
-// hatch settings through a prepared signal and demands bit-identity
+// FuzzCorrelatePrepared drives arbitrary shapes and frequency steps
+// through a prepared signal and demands bit-identity
 // with Correlate for two references in a row. The committed corpus
 // under testdata/fuzz covers the crossover edges and ragged blocks.
 func FuzzCorrelatePrepared(f *testing.F) {
-	f.Add(int64(1), uint16(64), uint16(4000), 0.0, false)
-	f.Add(int64(2), uint16(512), uint16(900), 0.01, false)
-	f.Add(int64(3), uint16(CrossoverRefLen), uint16(CrossoverRefLen+CrossoverMinOutputs-1), -0.2, false)
-	f.Add(int64(4), uint16(512), uint16(7000), 0.003, true)
-	f.Fuzz(func(t *testing.T, seed int64, m, ly uint16, freq float64, naive bool) {
+	f.Add(int64(1), uint16(64), uint16(4000), 0.0)
+	f.Add(int64(2), uint16(512), uint16(900), 0.01)
+	f.Add(int64(3), uint16(CrossoverRefLen), uint16(CrossoverRefLen+CrossoverMinOutputs-1), -0.2)
+	f.Add(int64(4), uint16(512), uint16(7000), 0.003)
+	f.Fuzz(func(t *testing.T, seed int64, m, ly uint16, freq float64) {
 		if m == 0 || m > 2048 || ly < m || ly > 20000 || math.IsNaN(freq) || math.IsInf(freq, 0) {
 			t.Skip()
 		}
-		defer SetForceNaive(false)
-		SetForceNaive(naive)
 		r := rand.New(rand.NewSource(seed))
 		y := randVec(r, int(ly))
 		var pr Prepared

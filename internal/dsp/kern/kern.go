@@ -34,40 +34,17 @@
 // bit for bit. Kernels that reassociate sums or replace a phasor
 // product chain with anchored recurrences (Accum, RotateQuad, AddTone's
 // tone samples) agree with the references to ≤1e-9 of the signal scale;
-// the fuzz suite in this package pins both classes. The naive
-// per-sample reference paths stay available process-wide via SetNaive /
-// ZIGZAG_NAIVE_KERNELS=1 / the CLIs' -naive-kernels flag.
+// the fuzz suite in this package pins both classes. The impairment
+// models keep their per-sample scalar references as test oracles (see
+// impair.Chain.ApplyReference).
 package kern
 
-import (
-	"math"
-	"os"
-	"sync/atomic"
-)
+import "math"
 
 // AnchorBlock is the exact re-anchoring cadence of every recurrence
 // kernel: each block of this many samples starts from fresh
 // math.Sincos evaluations of the closed-form phase.
 const AnchorBlock = 512
-
-// forceNaive pins every kernel consumer back to its per-sample scalar
-// path — the debugging escape hatch isolating a numeric anomaly from
-// the kernel layer. Set programmatically via SetNaive or at startup
-// with ZIGZAG_NAIVE_KERNELS=1.
-var forceNaive atomic.Bool
-
-func init() {
-	if v := os.Getenv("ZIGZAG_NAIVE_KERNELS"); v != "" && v != "0" {
-		forceNaive.Store(true)
-	}
-}
-
-// SetNaive pins (or unpins) all kernel consumers to their naive
-// per-sample reference paths. Safe for concurrent use.
-func SetNaive(v bool) { forceNaive.Store(v) }
-
-// Naive reports whether the naive reference paths are pinned.
-func Naive() bool { return forceNaive.Load() }
 
 // smallAngle is the |δ| threshold below which sincosSmall uses its
 // polynomial: at 1/32 rad the truncation error of the degree-7/6

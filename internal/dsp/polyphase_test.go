@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-
-	"zigzag/internal/dsp/kern"
 )
 
 // TestKernelMatchesSincHann pins the closed-form phase FIR against
@@ -132,36 +130,27 @@ func FuzzEvalGridMatchesDirect(f *testing.F) {
 	})
 }
 
-// TestShiftPathsAgree pins the two dispatch arms of Shift/ShiftDrift
-// against each other through the public API and checks the escape-hatch
-// plumbing.
+// TestShiftPathsAgree pins Shift and ShiftDrift, through the public
+// API, against per-sample Interpolator.At evaluation — the reference
+// the polyphase engine replaces.
 func TestShiftPathsAgree(t *testing.T) {
-	was := NaiveInterp()
-	defer SetNaiveInterp(was)
-	SetNaiveInterp(false)
 	x := bandlimited(300, 83)
 	ip := Interpolator{Taps: 5}
 	fast := ip.Shift(nil, x, 0.41)
 	fastD := ip.ShiftDrift(nil, x, -0.3, 7e-4)
-	SetNaiveInterp(true)
-	if !NaiveInterp() {
-		t.Fatal("SetNaiveInterp(true) not observed")
-	}
-	naive := ip.Shift(nil, x, 0.41)
-	naiveD := ip.ShiftDrift(nil, x, -0.3, 7e-4)
 	for i := range x {
-		if e := absC(fast[i] - naive[i]); e > 1e-12 {
-			t.Fatalf("Shift paths differ at %d by %g", i, e)
+		if e := absC(fast[i] - ip.At(x, float64(i)+0.41)); e > 1e-12 {
+			t.Fatalf("Shift differs from Interpolator.At at %d by %g", i, e)
 		}
-		if e := absC(fastD[i] - naiveD[i]); e > 1e-12 {
-			t.Fatalf("ShiftDrift paths differ at %d by %g", i, e)
+		if e := absC(fastD[i] - ip.At(x, float64(i)-0.3+float64(i)*7e-4)); e > 1e-12 {
+			t.Fatalf("ShiftDrift differs from Interpolator.At at %d by %g", i, e)
 		}
 	}
 }
 
 // TestRotatorMatchesExp checks the recurrence against per-sample
-// cmplx.Exp over several renormalization periods, and its bit-identity
-// with Rotate (which is built on it).
+// cmplx.Exp over several renormalization periods, and Rotate against
+// the closed form.
 func TestRotatorMatchesExp(t *testing.T) {
 	const phase0, step = 0.7, -0.0043
 	rot := NewRotator(phase0, step)
@@ -175,23 +164,13 @@ func TestRotatorMatchesExp(t *testing.T) {
 	for i := range x {
 		x[i] = complex(1, 0)
 	}
-	// Default path: Rotate runs on kern.MulTone, pinned to the closed
-	// form within the kernel layer's 1e-9 tolerance. Naive path: bit
-	// identical to the Rotator recurrence it is built on.
+	// Rotate runs on kern.MulTone, pinned to the closed form within the
+	// kernel layer's 1e-9 tolerance.
 	got := Rotate(nil, x, phase0, step)
 	for i := range got {
 		want := cmplx.Exp(complex(0, phase0+float64(i)*step))
 		if e := absC(got[i] - want); e > 1e-9 {
 			t.Fatalf("Rotate drifted from closed form at %d: Δ=%g", i, e)
-		}
-	}
-	kern.SetNaive(true)
-	defer kern.SetNaive(false)
-	got = Rotate(nil, x, phase0, step)
-	ref := NewRotator(phase0, step)
-	for i := range got {
-		if got[i] != ref.Next() {
-			t.Fatalf("naive Rotate is not bit-identical to the Rotator recurrence at %d", i)
 		}
 	}
 }

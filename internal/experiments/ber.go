@@ -86,15 +86,6 @@ func (c bitCounts) rate() float64 {
 	return float64(c.errBits) / float64(c.totBits)
 }
 
-func sumCounts(cs []bitCounts) bitCounts {
-	var t bitCounts
-	for _, c := range cs {
-		t.errBits += c.errBits
-		t.totBits += c.totBits
-	}
-	return t
-}
-
 // berAt measures ZigZag's BER over collision pairs at a symmetric SNR.
 // Pairs run as independent trials on the worker pool, each on its
 // worker's pooled session.
@@ -108,10 +99,16 @@ func berAtCounts(sc Scale, seed int64, snr float64, fwdOnly bool, sh Shard) bitC
 	cfg := core.DefaultConfig()
 	cfg.DisableBackward = fwdOnly
 	cfg.Workers = sc.Workers
-	return reduceCounts(cfg, sc.Pairs, sh, cfg.Workers, seed^int64(snr*1000), func(sess *session.Session, _ int) bitCounts {
+	return reduceCounts(cfg, sc.Pairs, sh, cfg.Workers, seed^int64(snr*1000), pairBERTrial(sc.Payload, snr))
+}
+
+// pairBERTrial is one trial of berAt's pair sweep: a symmetric-SNR
+// collision pair decoded jointly, tallied as error and total bits.
+func pairBERTrial(payload int, snr float64) func(sess *session.Session, _ int) bitCounts {
+	return func(sess *session.Session, _ int) bitCounts {
 		rng := sess.Rng
 		var c bitCounts
-		s := newPairScenario(sess, sc.Payload, []float64{snr, snr}, 0.05)
+		s := newPairScenario(sess, payload, []float64{snr, snr}, 0.05)
 		// The paper's offline processing knows the (fixed) packet size;
 		// give the decoder the same knowledge so header-decode luck does
 		// not dominate the low-SNR BER measurement.
@@ -130,7 +127,7 @@ func berAtCounts(sc Scale, seed int64, snr float64, fwdOnly bool, sh Shard) bitC
 			c.errBits += int(ber * float64(len(s.truth[i])))
 		}
 		return c
-	})
+	}
 }
 
 // berCollisionFree measures the same decoder on interference-free

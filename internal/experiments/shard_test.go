@@ -4,7 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"zigzag/internal/metrics"
+	"zigzag/internal/core"
+	"zigzag/internal/session"
 )
 
 // mergeParts runs a counts function shard by shard and merges the
@@ -76,26 +77,34 @@ func TestKWayShardInvariant(t *testing.T) {
 	}
 }
 
-// TestLegacyMetricsOracle pins the -legacy-metrics escape hatch: the
-// historical materialize-then-fold path and the streaming reducer sum
-// the same integers over the same trials, so their tallies are
-// bit-identical — sharded or not. This is what makes the hatch a
-// trustworthy rollback AND the oracle that validates the migration.
-func TestLegacyMetricsOracle(t *testing.T) {
-	if metrics.LegacyEnabled() {
-		t.Skip("ZIGZAG_LEGACY_METRICS already set; oracle needs both paths")
+// sumCounts folds materialized per-trial tallies serially — the
+// historical aggregation path, kept as the streaming reducer's oracle.
+func sumCounts(cs []bitCounts) bitCounts {
+	var t bitCounts
+	for _, c := range cs {
+		t = addCounts(t, c)
 	}
-	sc := scaled(2)
-	stream53 := Fig53Counts(sc, 11, Shard{})
-	streamHarsh := HarshCounts(sc, 7, 2, Shard{Shards: 2, Index: 1})
+	return t
+}
 
-	metrics.SetLegacy(true)
-	defer metrics.SetLegacy(false)
-	if got := Fig53Counts(sc, 11, Shard{}); !reflect.DeepEqual(got, stream53) {
-		t.Fatalf("legacy fig5-3 counts diverged from streaming\nstream: %+v\nlegacy: %+v", stream53, got)
-	}
-	if got := HarshCounts(sc, 7, 2, Shard{Shards: 2, Index: 1}); !reflect.DeepEqual(got, streamHarsh) {
-		t.Fatalf("legacy harsh shard counts diverged from streaming\nstream: %+v\nlegacy: %+v", streamHarsh, got)
+// TestLegacyMetricsOracle pins the streaming reducer against the
+// historical materialize-then-fold path (session.MapShard, then
+// sumCounts): both sum the same integers over the same trials, so their
+// tallies are bit-identical — sharded or not, at any worker count.
+func TestLegacyMetricsOracle(t *testing.T) {
+	const trials = 8
+	cfg := core.DefaultConfig()
+	for _, snr := range []float64{4, 7, 10} {
+		trial := pairBERTrial(microDet.Payload, snr)
+		for _, sh := range []Shard{{}, {Shards: 3, Index: 1}} {
+			for _, w := range []int{1, 2} {
+				got := reduceCounts(cfg, trials, sh, w, 11, trial)
+				want := sumCounts(session.MapShard(cfg, sh.rangeOf(trials), w, 11, trial))
+				if got != want || got.totBits == 0 {
+					t.Fatalf("snr %g shard %+v workers %d: streaming %+v, materialized %+v", snr, sh, w, got, want)
+				}
+			}
+		}
 	}
 }
 

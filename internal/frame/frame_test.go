@@ -180,3 +180,46 @@ func TestFrameString(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// FuzzParse feeds arbitrary bit slices (one bit per byte; any byte
+// value, since the PHY hands over whatever it demapped) to Parse and
+// PeekLength. Neither may panic; a successful PeekLength announces at
+// least an empty frame; and a successful Parse agrees with PeekLength
+// and yields a frame that re-encodes with Bits and parses back to the
+// same packet with the same Retry flag. The committed corpus under
+// testdata/fuzz covers valid frames, padding, truncation, corrupt
+// header and CRC, an over-long length field and non-binary bit values.
+func FuzzParse(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 5} {
+		bits, err := randFrame(r, n).Bits(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bits)
+	}
+	f.Fuzz(func(t *testing.T, bits []byte) {
+		n, perr := PeekLength(bits)
+		if perr == nil && n < HeaderBits+CRCBits {
+			t.Fatalf("PeekLength = %d, below an empty frame's %d bits", n, HeaderBits+CRCBits)
+		}
+		fr, err := Parse(bits)
+		if err != nil {
+			return
+		}
+		if perr != nil || n != fr.BitLen() {
+			t.Fatalf("Parse succeeded with %d bits but PeekLength = %d, %v", fr.BitLen(), n, perr)
+		}
+		enc, err := fr.Bits(nil)
+		if err != nil {
+			t.Fatalf("parsed frame %v does not re-encode: %v", fr, err)
+		}
+		back, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-encoded frame %v does not parse: %v", fr, err)
+		}
+		if !SamePacket(fr, back) || back.Retry != fr.Retry {
+			t.Fatalf("round trip changed the frame: %v → %v", fr, back)
+		}
+	})
+}

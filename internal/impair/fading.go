@@ -25,10 +25,10 @@ import (
 // receptions, matching how the rest of the simulator re-draws links.
 //
 // The hot path runs on the kern oscillator-bank kernels (gain
-// trajectory accumulated into SoA planes, one fused multiply pass);
-// kern.SetNaive pins the per-sample rotator reference, which the kern
-// path reproduces to ≤1e-9 of the signal scale (identical rng draws,
-// reassociated arithmetic).
+// trajectory accumulated into SoA planes, one fused multiply pass); it
+// reproduces the per-sample rotator reference (applyNaive, reached
+// through Chain.Reference) to ≤1e-9 of the signal scale (identical rng
+// draws, reassociated arithmetic).
 type Fading struct {
 	// Doppler is the normalized maximum Doppler shift f_d·T in cycles
 	// per sample. 0 freezes each trajectory at its initial draw (pure
@@ -45,7 +45,7 @@ type Fading struct {
 	// Block·T) instead of evaluating it per sample.
 	Block int
 
-	rot []dsp.Rotator // per-path oscillators (naive path), re-seeded per application
+	rot []dsp.Rotator // per-path oscillators (reference path), re-seeded per application
 
 	// kern-path scratch: the oscillator bank and the gain planes.
 	amp, phase, step []float64
@@ -78,10 +78,6 @@ func (f *Fading) block() int {
 // on the reception's sample grid so an emission's trajectory does not
 // depend on where in the window it starts being rendered.
 func (f *Fading) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		f.applyNaive(seed, buf, off)
-		return
-	}
 	p := f.paths()
 	blk := f.block()
 	rng := newStream(seed)
@@ -118,7 +114,7 @@ func (f *Fading) ApplyLink(seed int64, buf []complex128, off int) {
 }
 
 // applyNaive is the per-sample rotator reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
+// implementation; see Chain.Reference).
 func (f *Fading) applyNaive(seed int64, buf []complex128, off int) {
 	p := f.paths()
 	blk := f.block()
@@ -190,9 +186,8 @@ func growF(dst []float64, n int) []float64 {
 // The hot path shares one kern oscillator bank across all taps (one
 // contiguous amp/phase/step triple, per-tap segments), renders each
 // tap's trajectory into a tap-major plane pair, and convolves in place
-// with one fused backward pass (kern.MulTaps); kern.SetNaive pins the
-// per-sample rotator reference (≤1e-9 of signal scale, identical rng
-// draws).
+// with one fused backward pass (kern.MulTaps), within ≤1e-9 of signal
+// scale of the per-sample rotator reference (identical rng draws).
 type Multipath struct {
 	// Powers are the relative mean tap powers (tap k delayed k
 	// samples); nil means DefaultMultipathPowers.
@@ -236,10 +231,6 @@ func (m *Multipath) paths() int {
 // Delay-spread energy beyond the emission's last sample is clipped —
 // the same window clipping the static channel's Air applies.
 func (m *Multipath) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		m.applyNaive(seed, buf, off)
-		return
-	}
 	powers := m.powers()
 	taps := len(powers)
 	p := m.paths()
@@ -277,7 +268,7 @@ func (m *Multipath) ApplyLink(seed int64, buf []complex128, off int) {
 }
 
 // applyNaive is the per-sample rotator reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
+// implementation; see Chain.Reference).
 func (m *Multipath) applyNaive(seed int64, buf []complex128, off int) {
 	powers := m.powers()
 	taps := len(powers)
@@ -345,13 +336,9 @@ func (d *Drift) Name() string { return "drift" }
 // path's per-sample rng draw order) and runs the block-anchored
 // quadratic-phase recurrence kernel; with PhaseNoise == 0 it collapses
 // to the pure carrier recurrence with no per-sample draws or Sincos at
-// all. kern.SetNaive pins the per-sample rotator reference (≤1e-9 of
-// signal scale).
+// all. It agrees with the per-sample rotator reference to ≤1e-9 of
+// signal scale.
 func (d *Drift) ApplyLink(seed int64, buf []complex128, off int) {
-	if kern.Naive() {
-		d.applyNaive(seed, buf, off)
-		return
-	}
 	if d.PhaseNoise > 0 {
 		rng := newStream(seed)
 		n := len(buf)

@@ -52,14 +52,9 @@ func (it *Interferer) Duty() float64 {
 // chain first — consuming the rng stream in exactly the naive order,
 // so the burst boundaries are bit-identical decisions — and then
 // renders each recorded burst with one anchored-phasor AddTone pass
-// over its sample range; kern.SetNaive pins the interleaved per-sample
-// rotator reference, which the burst rendering matches to ≤1e-9 of the
-// tone amplitude.
+// over its sample range. The burst rendering matches the interleaved
+// per-sample rotator reference to ≤1e-9 of the tone amplitude.
 func (it *Interferer) ApplyFront(seed int64, buf []complex128) {
-	if kern.Naive() {
-		it.applyNaive(seed, buf)
-		return
-	}
 	on, off := it.means()
 	pOnOff := 1 / on
 	pOffOn := 1 / off
@@ -88,7 +83,7 @@ func (it *Interferer) ApplyFront(seed int64, buf []complex128) {
 }
 
 // applyNaive is the per-sample reference path (the historical
-// implementation, pinned by the -naive-kernels escape hatch).
+// implementation; see Chain.Reference).
 func (it *Interferer) applyNaive(seed int64, buf []complex128) {
 	on, off := it.means()
 	pOnOff := 1 / on
@@ -136,6 +131,15 @@ func (a *ADC) Name() string { return "adc" }
 
 // ApplyFront implements FrontModel.
 func (a *ADC) ApplyFront(_ int64, buf []complex128) {
+	// Branch-free min/max clamp + the same round expression;
+	// bit-identical to the reference rail (applyNaive) for all inputs.
+	fs, levels := a.scale()
+	kern.ClipQuant(buf, fs, levels)
+}
+
+// scale returns the clip level and the per-rail positive quantizer
+// steps, with Bits and FullScale defaulted and clamped.
+func (a *ADC) scale() (fs, levels float64) {
 	bits := a.Bits
 	if bits == 0 {
 		bits = 8
@@ -146,20 +150,20 @@ func (a *ADC) ApplyFront(_ int64, buf []complex128) {
 	if bits > 24 {
 		bits = 24
 	}
-	fs := a.FullScale
+	fs = a.FullScale
 	if fs <= 0 {
 		fs = DefaultADCFullScale
 	}
-	levels := float64(int(1)<<uint(bits-1)) - 1 // per-rail positive steps
+	levels = float64(int(1)<<uint(bits-1)) - 1 // per-rail positive steps
 	if levels < 1 {
 		levels = 1 // Bits=1: a three-level hard limiter, not a 0/0 NaN
 	}
-	if !kern.Naive() {
-		// Branch-free min/max clamp + the same round expression;
-		// bit-identical to the reference rail below for all inputs.
-		kern.ClipQuant(buf, fs, levels)
-		return
-	}
+	return fs, levels
+}
+
+// applyNaive is the per-sample reference rail (see Chain.Reference).
+func (a *ADC) applyNaive(_ int64, buf []complex128) {
+	fs, levels := a.scale()
 	rail := func(x float64) float64 {
 		if x > fs {
 			x = fs

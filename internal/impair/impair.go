@@ -19,9 +19,9 @@
 // Models compose into a Chain that the channel's Air applies beneath
 // the static per-link parameters: link models transform each emission's
 // rendered samples before mixing, front-end models transform the mixed
-// buffer after noise. A nil (or empty, or globally disabled) chain is
-// bit-identical to the static path — the channel package never calls
-// into an inactive impairer.
+// buffer after noise. A nil (or empty) chain is bit-identical to the
+// static path — the channel package never calls into an inactive
+// impairer.
 //
 // # Determinism
 //
@@ -35,15 +35,17 @@
 // so a model reused across trials is observationally identical to a
 // fresh one.
 //
-// Escape hatch: ZIGZAG_NO_IMPAIR=1 (or -no-impair on the CLIs, via
-// SetDisabled) deactivates every chain process-wide, restoring the
-// static channel even when a chain is installed.
+// # Reference paths
+//
+// The models run on the kern package's packed and recurrence kernels.
+// Each keeps its historical per-sample scalar implementation as a
+// reference, reachable only through Chain.Reference: the kernel paths
+// agree with it to ≤1e-9 of the signal scale (the ADC quantizer bit
+// for bit), which the package tests and the benchmark gate check.
 package impair
 
 import (
 	"math"
-	"os"
-	"sync/atomic"
 
 	"zigzag/internal/runner"
 )
@@ -96,12 +98,11 @@ func (c *Chain) Reset(seed int64) {
 }
 
 // Active reports whether the chain would transform anything: false for
-// a nil chain, an empty chain, or when impairment is globally
-// disabled. The channel's Air consults it once per reception and skips
-// every hook of an inactive chain, which is what keeps the nil path
-// bit-identical to the static channel.
+// a nil or an empty chain. The channel's Air consults it once per
+// reception and skips every hook of an inactive chain, which is what
+// keeps the nil path bit-identical to the static channel.
 func (c *Chain) Active() bool {
-	return c != nil && !Disabled() && (len(c.Link) > 0 || len(c.Front) > 0)
+	return c != nil && (len(c.Link) > 0 || len(c.Front) > 0)
 }
 
 // BeginReception advances the chain to the next reception window:
@@ -154,21 +155,55 @@ func (c *Chain) ImpairFront(buf []complex128) {
 	}
 }
 
-var disabled atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_NO_IMPAIR") == "1" {
-		disabled.Store(true)
+// Reference returns a copy of c, at the same point of its trial
+// stream, whose models run their per-sample scalar reference paths
+// instead of the kern kernels; models without one run unchanged. It is
+// the oracle the kernel paths are checked against and is not meant for
+// simulation. The copy shares its models' scratch with c, so the two
+// must not be applied concurrently.
+func (c *Chain) Reference() *Chain {
+	r := *c
+	r.Link = make([]LinkModel, len(c.Link))
+	for i, m := range c.Link {
+		r.Link[i] = m
+		if ref, ok := m.(linkReference); ok {
+			r.Link[i] = refLink{m, ref}
+		}
 	}
+	r.Front = make([]FrontModel, len(c.Front))
+	for i, m := range c.Front {
+		r.Front[i] = m
+		if ref, ok := m.(frontReference); ok {
+			r.Front[i] = refFront{m, ref}
+		}
+	}
+	return &r
 }
 
-// SetDisabled force-deactivates every impairment chain process-wide
-// (the -no-impair escape hatch): chains report inactive and the
-// channel falls back to the static path, bit-identically.
-func SetDisabled(v bool) { disabled.Store(v) }
+// linkReference and frontReference are implemented by the models that
+// keep a per-sample reference of their kernel path.
+type linkReference interface {
+	applyNaive(seed int64, buf []complex128, off int)
+}
 
-// Disabled reports whether impairment is globally disabled.
-func Disabled() bool { return disabled.Load() }
+type frontReference interface {
+	applyNaive(seed int64, buf []complex128)
+}
+
+// refLink and refFront route a model's Apply to its reference path.
+type refLink struct {
+	LinkModel
+	ref linkReference
+}
+
+func (r refLink) ApplyLink(seed int64, buf []complex128, off int) { r.ref.applyNaive(seed, buf, off) }
+
+type refFront struct {
+	FrontModel
+	ref frontReference
+}
+
+func (r refFront) ApplyFront(seed int64, buf []complex128) { r.ref.applyNaive(seed, buf) }
 
 // stream is the package's allocation-free random source: the runner's
 // splitmix64 generator core (runner.Splitmix64 — one definition, so

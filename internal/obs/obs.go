@@ -18,37 +18,9 @@
 // consumer-facing piece (Ring, Registry) is safe for a concurrent
 // reader so a live HTTP scrape never stalls the single-goroutine
 // receiver; the Ring drops oldest events (counted) rather than block.
-//
-// The ZIGZAG_NO_OBS=1 environment (or the -no-obs flag via
-// internal/hatch) detaches the layer at its attachment points: engines
-// skip registry wiring and sink attachment entirely, restoring the
-// uninstrumented configuration for bisection.
 package obs
 
-import (
-	"os"
-	"sync"
-	"sync/atomic"
-)
-
-// disabled gates the observability layer's attachment points (serve
-// engine, campaign counters, CLI listeners). The instrumented code
-// itself is always nil-guarded; this hatch keeps even the guards' sinks
-// from being attached.
-var disabled atomic.Bool
-
-func init() {
-	if os.Getenv("ZIGZAG_NO_OBS") == "1" {
-		disabled.Store(true)
-	}
-}
-
-// SetDisabled pins (or unpins) the no-obs escape hatch. The CLIs expose
-// it as -no-obs; ZIGZAG_NO_OBS=1 sets it at startup.
-func SetDisabled(v bool) { disabled.Store(v) }
-
-// Disabled reports whether the observability layer is detached.
-func Disabled() bool { return disabled.Load() }
+import "sync"
 
 // Kind identifies a decode event's type. The first block corresponds
 // one-to-one to the historical Receiver.Trace printf lines (LegacyLine

@@ -192,16 +192,3 @@ func TestEventJSON(t *testing.T) {
 		t.Errorf("minimal json = %s, want %s", data, want)
 	}
 }
-
-func TestDisabledHatch(t *testing.T) {
-	was := Disabled()
-	defer SetDisabled(was)
-	SetDisabled(true)
-	if !Disabled() {
-		t.Fatal("SetDisabled(true) not visible")
-	}
-	SetDisabled(false)
-	if Disabled() {
-		t.Fatal("SetDisabled(false) not visible")
-	}
-}

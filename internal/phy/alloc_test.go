@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -52,9 +53,6 @@ func requireZeroAllocs(t *testing.T, name string, op func()) {
 // re-encode/subtract engine: once a modeler's scratch has reached
 // steady state, Subtract and TrackAndSubtract allocate nothing.
 func TestSubtractAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false) // the guarantee is the polyphase path's
 	cfg, rx, wave, s := allocScenario(t, 211)
 	m := NewModeler(cfg, s)
 	if err := m.FitISI(rx, wave, 0, 600); err != nil {
@@ -77,9 +75,6 @@ func TestSubtractAllocFree(t *testing.T) {
 // black-box decoder: with the chip/raw/decision scratch grown, a
 // steady-state DecodeRange allocates nothing (forward and reverse).
 func TestDecodeRangeAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false) // the guarantee is the polyphase path's
 	cfg, rx, _, s := allocScenario(t, 223)
 	d := NewSymbolDecoder(cfg, s, modem.BPSK)
 	if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
@@ -94,36 +89,61 @@ func TestDecodeRangeAllocFree(t *testing.T) {
 	})
 }
 
-// withInterpPath runs fn under the requested interpolation path and
-// restores the previous pin.
-func withInterpPath(naive bool, fn func()) {
-	was := dsp.NaiveInterp()
-	dsp.SetNaiveInterp(naive)
-	defer dsp.SetNaiveInterp(was)
-	fn()
+// naiveImage is BuildImage's per-sample reference: each image sample
+// interpolated from the masked chips with Interpolator.At, filtered by
+// the fitted image filter, and rotated by its own cmplx.Exp of the ramp.
+func naiveImage(m *Modeler, chips []complex128, chipFrom, chipTo int) ([]complex128, int) {
+	n0, n1 := m.chunkSampleRange(chipFrom, chipTo)
+	masked := make([]complex128, len(chips))
+	copy(masked[chipFrom:chipTo], chips[chipFrom:chipTo])
+	w := make([]complex128, n1-n0)
+	for n := n0; n < n1; n++ {
+		w[n-n0] = m.interp.At(masked, float64(n)-m.sync.Start)
+	}
+	img := m.g.Apply(nil, w)
+	for i := range img {
+		img[i] *= cmplx.Exp(complex(0, m.ramp(float64(n0+i))))
+	}
+	return img, n0
+}
+
+// naiveDecodeRange is DecodeRange's per-sample reference: raw symbols
+// from RawSymbol (Interpolator.At and a math.Sincos per chip) and a
+// fresh math.Sincos of the tracked phase per symbol.
+func naiveDecodeRange(d *SymbolDecoder, rx []complex128, from, to int) (dec, soft []complex128) {
+	n, t := to-from, d.cfg.EqTaps
+	base := from - t
+	raw := make([]complex128, n+2*t)
+	for i := range raw {
+		raw[i] = d.RawSymbol(rx, base+i)
+	}
+	dec, soft = make([]complex128, n), make([]complex128, n)
+	for k := from; k < to; k++ {
+		sn, cs := math.Sincos(-d.phase)
+		z := d.equalizeAt(raw, base, k) * complex(cs, sn)
+		soft[k-from], dec[k-from] = z, modem.Slice(d.scheme, z)
+		if !d.cfg.DisablePhaseTracking {
+			err := phaseError(z, dec[k-from])
+			d.freqAdj += d.cfg.PLLFreqGain * err
+			d.phase = dsp.WrapPhase(d.phase + d.cfg.PLLGain*err + d.freqAdj)
+		}
+	}
+	return dec, soft
 }
 
 // TestBuildImagePolyphaseMatchesNaive pins the polyphase re-encode
-// engine against the naive per-sample reference on a full modeler
-// (aligned wave + masked chips + ISI filter + rotation ramp): the two
-// images must agree to ≤1e−9 of the image scale.
+// engine against the per-sample reference on a full modeler (aligned
+// wave + masked chips + ISI filter + rotation ramp): the two images must
+// agree to ≤1e−9 of the image scale.
 func TestBuildImagePolyphaseMatchesNaive(t *testing.T) {
 	cfg, rx, wave, s := allocScenario(t, 227)
-	build := func(naive bool) ([]complex128, int) {
-		var img []complex128
-		var n0 int
-		withInterpPath(naive, func() {
-			m := NewModeler(cfg, s)
-			if err := m.FitISI(rx, wave, 0, 600); err != nil {
-				t.Fatal(err)
-			}
-			got, at := m.BuildImage(wave, 800, 1200)
-			img, n0 = dsp.Clone(got), at
-		})
-		return img, n0
+	m := NewModeler(cfg, s)
+	if err := m.FitISI(rx, wave, 0, 600); err != nil {
+		t.Fatal(err)
 	}
-	fast, n0f := build(false)
-	naive, n0n := build(true)
+	got, n0f := m.BuildImage(wave, 800, 1200)
+	fast := dsp.Clone(got)
+	naive, n0n := naiveImage(m, wave, 800, 1200)
 	if n0f != n0n || len(fast) != len(naive) {
 		t.Fatalf("image geometry differs: (%d,%d) vs (%d,%d)", n0f, len(fast), n0n, len(naive))
 	}
@@ -141,16 +161,16 @@ func TestBuildImagePolyphaseMatchesNaive(t *testing.T) {
 func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 	cfg, rx, _, s := allocScenario(t, 229)
 	run := func(naive bool) (dec, soft []complex128) {
-		withInterpPath(naive, func() {
-			d := NewSymbolDecoder(cfg, s, modem.BPSK)
-			if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
-				t.Fatal(err)
-			}
-			pre := cfg.PreambleBits
-			dd, ss := d.DecodeRange(rx, pre, pre+200, false)
-			dec, soft = dsp.Clone(dd), dsp.Clone(ss)
-		})
-		return dec, soft
+		d := NewSymbolDecoder(cfg, s, modem.BPSK)
+		if err := d.TrainEqualizer(rx, cfg.PreambleSymbols(), 0); err != nil {
+			t.Fatal(err)
+		}
+		pre := cfg.PreambleBits
+		if naive {
+			return naiveDecodeRange(d, rx, pre, pre+200)
+		}
+		dd, ss := d.DecodeRange(rx, pre, pre+200, false)
+		return dsp.Clone(dd), dsp.Clone(ss)
 	}
 	fd, fs := run(false)
 	nd, ns := run(true)
@@ -169,9 +189,6 @@ func TestDecodeRangePolyphaseMatchesNaive(t *testing.T) {
 // least-squares arenas have grown, repeated FitISI calls allocate
 // nothing (the hot case when links churn and shapes refit per trial).
 func TestFitISIAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfg, rx, wave, s := allocScenario(t, 233)
 	m := NewModeler(cfg, s)
 	requireZeroAllocs(t, "Modeler.FitISI", func() {
@@ -186,9 +203,6 @@ func TestFitISIAllocFree(t *testing.T) {
 // the solver scratch are all decoder-owned, so steady-state retraining
 // allocates nothing.
 func TestTrainEqualizerAllocFree(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfg, rx, _, s := allocScenario(t, 239)
 	d := NewSymbolDecoder(cfg, s, modem.BPSK)
 	known := cfg.PreambleSymbols()
@@ -204,9 +218,6 @@ func TestTrainEqualizerAllocFree(t *testing.T) {
 // bit-identically to a freshly constructed one, even after the recycled
 // instance accumulated scratch and state on a different scenario.
 func TestReinitMatchesNew(t *testing.T) {
-	was := dsp.NaiveInterp()
-	defer dsp.SetNaiveInterp(was)
-	dsp.SetNaiveInterp(false)
 	cfgA, rxA, waveA, sA := allocScenario(t, 241)
 	cfgB, rxB, waveB, sB := allocScenario(t, 251)
 

@@ -152,8 +152,8 @@ func (d *SymbolDecoder) RawSymbol(rx []complex128, k int) complex128 {
 // fillRaw computes raw symbols sym0, sym0+1, … into raw using the
 // polyphase engine: all chips of the range are interpolated with one
 // phase FIR (the fractional part of Start+m is constant over the
-// packet), derotated by the recurrence rotator instead of a cmplx.Exp
-// per chip, normalized, and matched-filtered. It reproduces per-symbol
+// packet), derotated by one anchored tone multiply instead of a
+// cmplx.Exp per chip, normalized, and matched-filtered. It reproduces per-symbol
 // RawSymbol to rounding error.
 func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 	sps := d.cfg.SamplesPerSymbol
@@ -164,22 +164,8 @@ func (d *SymbolDecoder) fillRaw(rx []complex128, sym0 int, raw []complex128) {
 	d.chipBuf = chips
 	ia := complex(d.invAmp, 0)
 	den := float64(sps)
-	if kern.Naive() {
-		rot := dsp.NewRotator(-d.sync.Theta(pos0), -d.sync.Freq)
-		ci := 0
-		for i := range raw {
-			var acc complex128
-			for j := 0; j < sps; j++ {
-				acc += chips[ci] * rot.Next() * ia
-				ci++
-			}
-			// Bit-identical to acc / complex(den, 0) — see dsp.DivPosReal.
-			raw[i] = dsp.DivPosReal(acc, den)
-		}
-		return
-	}
 	// Derotate the whole chip span in one anchored tone multiply, then
-	// matched-filter; within the kern tolerance of the rotator loop.
+	// matched-filter; within the kern tolerance of per-chip rotation.
 	kern.MulTone(chips, -d.sync.Theta(pos0), -d.sync.Freq)
 	ci := 0
 	for i := range raw {
@@ -294,39 +280,14 @@ func (d *SymbolDecoder) DecodeRange(rx []complex128, from, to int, reverse bool)
 	base := from - t
 	d.rawBuf = dsp.Ensure(d.rawBuf, n+2*t)
 	raw := d.rawBuf
-	if dsp.NaiveInterp() {
-		for i := range raw {
-			raw[i] = d.RawSymbol(rx, base+i)
-		}
-	} else {
-		d.fillRaw(rx, base, raw)
-	}
+	d.fillRaw(rx, base, raw)
 	idx := func(step int) int {
 		if reverse {
 			return to - 1 - step
 		}
 		return from + step
 	}
-	if kern.Naive() {
-		for s := 0; s < n; s++ {
-			k := idx(s)
-			z := d.equalizeAt(raw, base, k)
-			// Bit-identical to cmplx.Exp(complex(0, −phase)): exp(0) = 1.
-			sn, cs := math.Sincos(-d.phase)
-			z *= complex(cs, sn)
-			dec := modem.Slice(d.scheme, z)
-			soft[k-from] = z
-			decisions[k-from] = dec
-			if !d.cfg.DisablePhaseTracking {
-				err := phaseError(z, dec)
-				d.freqAdj += d.cfg.PLLFreqGain * err
-				d.phase += d.cfg.PLLGain*err + d.freqAdj
-				d.phase = dsp.WrapPhase(d.phase)
-			}
-		}
-		return decisions, soft
-	}
-	// Kern path: the correction phasor e^{−j·phase} advances by the loop
+	// The correction phasor e^{−j·phase} advances by the loop
 	// increment through SincosSmall (the PLL step is tiny in steady
 	// state) and re-anchors from the exactly tracked phase every
 	// AnchorBlock symbols, like every other recurrence kernel.

@@ -27,16 +27,29 @@ func collisionBuffer(t testing.TB, cfg Config, seed int64, n int) []complex128 {
 	return rx
 }
 
+// naiveDetect is Detect's reference: the profile from the naive sliding
+// kernel (dsp.CorrelateProfile), thresholded by the same peak detector.
+func naiveDetect(sy *Synchronizer, rx []complex128, freq, beta, refAmp float64) []Sync {
+	prof := dsp.CorrelateProfile(rx, sy.wave, freq)
+	pd := dsp.PeakDetector{Beta: beta, RefAmp: refAmp, MinSpacing: len(sy.wave) / 2}
+	var out []Sync
+	for _, p := range pd.Find(prof, sy.energy) {
+		s := sy.syncFromPeak(p)
+		s.Freq = freq
+		out = append(out, s)
+	}
+	return out
+}
+
 // TestDetectFFTMatchesNaive pins the rewiring: Detect through the FFT
 // engine must find the same packets, at the same positions, as the
 // naive kernel it replaced.
 func TestDetectFFTMatchesNaive(t *testing.T) {
 	cfg := Default()
 	rx := collisionBuffer(t, cfg, 50, 4096)
-	fftSyncs := NewSynchronizer(cfg).Detect(rx, 0.002, 0.5, 1)
-	fft.SetForceNaive(true)
-	naiveSyncs := NewSynchronizer(cfg).Detect(rx, 0.002, 0.5, 1)
-	fft.SetForceNaive(false)
+	sy := NewSynchronizer(cfg)
+	fftSyncs := sy.Detect(rx, 0.002, 0.5, 1)
+	naiveSyncs := naiveDetect(sy, rx, 0.002, 0.5, 1)
 	if len(fftSyncs) != 2 {
 		t.Fatalf("detected %d packets, want 2", len(fftSyncs))
 	}

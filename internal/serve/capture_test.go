@@ -186,3 +186,55 @@ func TestCaptureReplayIdentity(t *testing.T) {
 			direct.FrameDigest, direct.Frames, replay.FrameDigest, replay.Frames)
 	}
 }
+
+// FuzzCaptureReader feeds arbitrary bytes through NewCaptureReader and
+// then Read in chunks of 1…64 samples. Neither may panic; the header is
+// accepted exactly when it is a valid ZIQ1 header; every Read returns
+// 0 ≤ n ≤ len(p); and the stream yields every whole sample of the body
+// before ending in io.EOF, or in the documented truncation error when
+// the body ends mid-sample. The committed corpus under testdata/fuzz
+// holds a valid complex128 and complex64 capture, a bad magic, a bad
+// version and a mid-sample truncation.
+func FuzzCaptureReader(f *testing.F) {
+	f.Add([]byte("ZIQ1\x01\x00\x00\x00"), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		r, err := NewCaptureReader(bytes.NewReader(data))
+		validHeader := len(data) >= captureHeader && string(data[:4]) == captureMagic &&
+			data[4] == captureVersion && (data[5] == byte(FormatComplex128) || data[5] == byte(FormatComplex64))
+		if (err == nil) != validHeader {
+			t.Fatalf("header %q: NewCaptureReader err = %v, valid = %v", data[:min(len(data), captureHeader)], err, validHeader)
+		}
+		if err != nil {
+			return
+		}
+		sz := r.Format().sampleSize()
+		body := len(data) - captureHeader
+		p := make([]complex128, int(chunk)%64+1)
+		total := 0
+		for {
+			n, err := r.Read(p)
+			if n < 0 || n > len(p) {
+				t.Fatalf("Read returned n = %d for a %d-sample buffer", n, len(p))
+			}
+			total += n
+			if err == io.EOF {
+				if body%sz != 0 {
+					t.Fatalf("body of %d bytes ends mid-sample but Read reported a clean EOF", body)
+				}
+				break
+			}
+			if err != nil {
+				if body%sz == 0 || !strings.Contains(err.Error(), "truncated mid-sample") {
+					t.Fatalf("Read error %v on a %d-byte body of %d-byte samples", err, body, sz)
+				}
+				break
+			}
+			if total > body/sz {
+				t.Fatalf("read %d samples from a body of %d whole samples", total, body/sz)
+			}
+		}
+		if total != body/sz {
+			t.Fatalf("read %d samples, want %d", total, body/sz)
+		}
+	})
+}

@@ -6,16 +6,6 @@ import (
 	"zigzag/internal/obs"
 )
 
-// skipIfNoObs skips observation tests under the ZIGZAG_NO_OBS=1 race
-// leg: the engine (correctly) refuses to attach observers there, which
-// is itself pinned by TestEngineNoObsHatchDetaches.
-func skipIfNoObs(t *testing.T) {
-	t.Helper()
-	if obs.Disabled() {
-		t.Skip("observability disabled (ZIGZAG_NO_OBS)")
-	}
-}
-
 // reconcile asserts every exported serve counter matches the report.
 func reconcile(t *testing.T, reg *obs.Registry, rep *Report) {
 	t.Helper()
@@ -60,7 +50,6 @@ func reconcile(t *testing.T, reg *obs.Registry, rep *Report) {
 // counter, the stored/pending gauges and the latency quantiles must
 // equal the final report exactly.
 func TestEngineMetricsReconcileWithReport(t *testing.T) {
-	skipIfNoObs(t)
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(obs.DefaultRingCapacity)
 	rep := runEngine(t, SynthConfig{Seed: 7, Episodes: 8}, Config{Metrics: reg, Events: ring})
@@ -81,7 +70,6 @@ func TestEngineMetricsReconcileWithReport(t *testing.T) {
 // engines feeding one registry must sum — a second run must not
 // overwrite or double-count the first.
 func TestEngineMetricsDeltaAcrossEngines(t *testing.T) {
-	skipIfNoObs(t)
 	reg := obs.NewRegistry()
 	rep1 := runEngine(t, SynthConfig{Seed: 7, Episodes: 8}, Config{Metrics: reg})
 	rep2 := runEngine(t, SynthConfig{Seed: 13, Episodes: 4}, Config{Metrics: reg})
@@ -104,11 +92,6 @@ func TestEngineMetricsDeltaAcrossEngines(t *testing.T) {
 // gauge states and the typed degrade events must all agree with the
 // report.
 func TestEngineDegradeMetricsConsistency(t *testing.T) {
-	skipIfNoObs(t)
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
-
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(1 << 14)
 	rep := runEngine(t, SynthConfig{Seed: 21, Episodes: 16}, Config{
@@ -167,38 +150,9 @@ func TestEngineDegradeMetricsConsistency(t *testing.T) {
 	}
 }
 
-// TestEngineNoObsHatchDetaches pins the escape hatch: with obs disabled
-// the engine must not register metrics or attach sinks even when the
-// config asks for them, and the decode must be bit-identical.
-func TestEngineNoObsHatchDetaches(t *testing.T) {
-	wasObs := obs.Disabled()
-	defer obs.SetDisabled(wasObs)
-
-	sc := SynthConfig{Seed: 9, Episodes: 4}
-	obs.SetDisabled(false)
-	base := runEngine(t, sc, Config{})
-
-	obs.SetDisabled(true)
-	reg := obs.NewRegistry()
-	ring := obs.NewRing(64)
-	rep := runEngine(t, sc, Config{Metrics: reg, Events: ring, ProfileLabels: true})
-
-	if rep.FrameDigest != base.FrameDigest {
-		t.Fatalf("no-obs digest %#x != baseline %#x", rep.FrameDigest, base.FrameDigest)
-	}
-	snap := reg.Snapshot(0)
-	if n := len(snap.Keys()); n != 0 {
-		t.Errorf("disabled engine registered %d metrics", n)
-	}
-	if ring.Published() != 0 {
-		t.Errorf("disabled engine published %d events", ring.Published())
-	}
-}
-
 // TestEngineObservedDigestIdentity pins the first-order contract: full
 // observation must not perturb the decode.
 func TestEngineObservedDigestIdentity(t *testing.T) {
-	skipIfNoObs(t)
 	sc := SynthConfig{Seed: 7, Episodes: 8}
 	base := runEngine(t, sc, Config{})
 	observed := runEngine(t, sc, Config{

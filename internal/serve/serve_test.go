@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"hash/fnv"
 	"io"
 	"testing"
 
 	"zigzag/internal/core"
+	"zigzag/internal/phy"
+	"zigzag/internal/session"
 )
 
 // coreStream is shorthand for a stream config bounding the pending
@@ -77,24 +80,59 @@ func runEngine(t *testing.T, sc SynthConfig, ecfg Config) *Report {
 	return rep
 }
 
+// oneshotReport is the streaming engine's oracle: the whole synthetic
+// stream framed by a phy.Framer and each burst decoded at frame time by
+// the one-shot Receive wrapper on a fresh session, tallied like
+// Engine.tally.
+func oneshotReport(t *testing.T, sc SynthConfig) *Report {
+	t.Helper()
+	g, err := NewSynthetic(sc)
+	if err != nil {
+		t.Fatalf("NewSynthetic: %v", err)
+	}
+	defer g.Close()
+	clients := g.Clients()
+	stream := readAll(t, g)
+	z := session.New(core.DefaultConfig()).OnlineReceiver(clients)
+	rep := &Report{Samples: int64(len(stream)), FrameDigest: fnv.New64a().Sum64()}
+	onBurst := func(burst []complex128, info phy.BurstInfo) {
+		rep.Receptions++
+		rep.Polled++
+		if info.Forced {
+			rep.ForcedCuts++
+		}
+		for _, ev := range z.Receive(burst) {
+			if ev.Frame == nil {
+				rep.Failed++
+				continue
+			}
+			rep.Frames++
+			switch ev.Via {
+			case core.ViaStandard:
+				rep.Standard++
+			case core.ViaZigzag:
+				rep.Zigzag++
+			case core.ViaCapture:
+				rep.Capture++
+			}
+			rep.FrameDigest = digestFrame(rep.FrameDigest, &ev)
+		}
+	}
+	f := phy.NewFramer(phy.FramerConfig{})
+	f.Push(stream, onBurst)
+	f.Flush(onBurst)
+	rep.StoredLeft = z.StoredCollisions()
+	return rep
+}
+
 // TestEngineStreamingOneshotIdentity is the redesign's core contract:
 // the streaming Ingest/Poll front end and the one-shot Receive wrapper
 // produce byte-identical frame streams for the same traffic.
 func TestEngineStreamingOneshotIdentity(t *testing.T) {
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-
 	sc := SynthConfig{Seed: 7, Episodes: 8}
-	SetOneshotIngest(false)
 	stream := runEngine(t, sc, Config{})
-	SetOneshotIngest(true)
-	oneshot := runEngine(t, sc, Config{})
-	SetOneshotIngest(was)
+	oneshot := oneshotReport(t, sc)
 
-	if stream.Oneshot || !oneshot.Oneshot {
-		t.Fatalf("path labels wrong: stream.Oneshot=%v oneshot.Oneshot=%v",
-			stream.Oneshot, oneshot.Oneshot)
-	}
 	if stream.Frames == 0 || stream.Zigzag == 0 || stream.Standard == 0 {
 		t.Fatalf("stream decoded frames=%d standard=%d zigzag=%d; want all paths exercised",
 			stream.Frames, stream.Standard, stream.Zigzag)
@@ -103,16 +141,19 @@ func TestEngineStreamingOneshotIdentity(t *testing.T) {
 		t.Fatalf("frame digests differ: streaming %#x vs oneshot %#x",
 			stream.FrameDigest, oneshot.FrameDigest)
 	}
-	type counts struct{ Samples, Receptions, Polled, Frames, Failed, Standard, Zigzag, Capture int64 }
-	sc1 := counts{stream.Samples, stream.Receptions, stream.Polled, stream.Frames,
-		stream.Failed, stream.Standard, stream.Zigzag, stream.Capture}
-	sc2 := counts{oneshot.Samples, oneshot.Receptions, oneshot.Polled, oneshot.Frames,
-		oneshot.Failed, oneshot.Standard, oneshot.Zigzag, oneshot.Capture}
+	type counts struct {
+		Samples, Receptions, Polled, ForcedCuts, Frames, Failed, Standard, Zigzag, Capture int64
+		StoredLeft                                                                         int
+	}
+	sc1 := counts{stream.Samples, stream.Receptions, stream.Polled, stream.ForcedCuts, stream.Frames,
+		stream.Failed, stream.Standard, stream.Zigzag, stream.Capture, stream.StoredLeft}
+	sc2 := counts{oneshot.Samples, oneshot.Receptions, oneshot.Polled, oneshot.ForcedCuts, oneshot.Frames,
+		oneshot.Failed, oneshot.Standard, oneshot.Zigzag, oneshot.Capture, oneshot.StoredLeft}
 	if sc1 != sc2 {
 		t.Fatalf("count mismatch:\nstreaming %+v\noneshot   %+v", sc1, sc2)
 	}
-	if stream.Dropped != 0 || oneshot.Dropped != 0 {
-		t.Fatalf("unloaded runs dropped receptions: %d / %d", stream.Dropped, oneshot.Dropped)
+	if stream.Dropped != 0 {
+		t.Fatalf("unloaded run dropped %d receptions", stream.Dropped)
 	}
 }
 
@@ -139,11 +180,6 @@ func TestEngineChunkInvariance(t *testing.T) {
 // (counted), the stream must still complete, and the newest data must
 // still decode.
 func TestEngineOverloadShedsWithoutStalling(t *testing.T) {
-	// Budget-based overload only exists on the streaming path; pin it
-	// so the ZIGZAG_ONESHOT_INGEST=1 race leg still tests it.
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
 	sc := SynthConfig{Seed: 21, Episodes: 16}
 	rep := runEngine(t, sc, Config{
 		Chunk:      1 << 16, // whole episodes per read: bursts arrive faster than the budget drains
@@ -166,11 +202,6 @@ func TestEngineOverloadShedsWithoutStalling(t *testing.T) {
 // receiver flips into degraded mode (skip store matching) at least
 // once, and the engine restores full fidelity by end of stream.
 func TestEngineDegradePolicy(t *testing.T) {
-	// The degrade hysteresis rides the streaming queue; pin the path so
-	// the ZIGZAG_ONESHOT_INGEST=1 race leg still tests it.
-	was := OneshotIngest()
-	defer SetOneshotIngest(was)
-	SetOneshotIngest(false)
 	sc := SynthConfig{Seed: 21, Episodes: 16}
 	g, err := NewSynthetic(sc)
 	if err != nil {
